@@ -2,27 +2,26 @@
 analysis, gadget generation, and a benchmark harness.
 
 Decision answers are printed as ``true``/``false`` on stdout; exit codes only
-distinguish *how* a command ended: 0 completed, 2 usage error, 3 missing
-file, 4 malformed input, 5 resource cap exceeded.
+distinguish *how* a command ended: 0 completed (also when the reader closes
+stdout early), 2 usage error, 3 missing file, 4 malformed input, 5 resource
+cap exceeded, 6 internal error (a failed cross-check, always a bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional, TextIO
 
 from . import counting, dynamics, enumeration
-from .errors import (
-    BlockparError,
-    NetworkSyntaxError,
-    ResourceCapError,
-    ScheduleFormatError,
-)
+from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
 from .network import BooleanNetwork, format_config, parse_config, parse_network, serialize_network
 from .partitions import Partition
 from .schedule import PartitionedOrder, parse_schedule, serialize_schedule
@@ -32,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_BAD_INPUT = 4
 EXIT_RESOURCE_CAP = 5
+EXIT_INTERNAL = 6
 
 #: Single-run timings (seconds) reported for an earlier pure-Python
 #: implementation of the same enumerations on a 2.80 GHz laptop; shown in
@@ -87,10 +87,24 @@ def _load_schedule(source: str, n: Optional[int] = None) -> PartitionedOrder:
     return parse_schedule(text, n=n)
 
 
-def _out_stream(args):
+@contextmanager
+def _out_stream(args) -> Iterator[TextIO]:
+    """The command's output: the ``--out`` file, closed afterwards, or stdout."""
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+        with open(args.out, "w", encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield sys.stdout
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +123,7 @@ def cmd_count(args) -> dict:
                 "bs_inter_bp": counting.count_bs_inter_bp(n),
             }
         )
-    stream = _out_stream(args)
-    try:
+    with _out_stream(args) as stream:
         if args.format == "json":
             json.dump(rows, stream, indent=2)
             stream.write("\n")
@@ -121,9 +134,6 @@ def cmd_count(args) -> dict:
                     f"{row['n']},{row['bs']},{row['bp']},{row['bp0']},"
                     f"{row['bp_star']},{row['bs_inter_bp']}\n"
                 )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return {"rows": len(rows)}
 
 
@@ -133,23 +143,18 @@ def cmd_enum(args) -> dict:
         raise ScheduleFormatError(
             f"--partition {args.partition} does not sum to n={args.n}"
         )
-    stream = _out_stream(args)
+    if args.threads > 1 and partition is None and args.limit is None:
+        lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
+    else:
+        schedules = enumeration.enum_class(args.n, args.klass, partition)
+        lines = (serialize_schedule(mu) for mu in islice(schedules, args.limit))
     emitted = 0
-    try:
-        if args.threads > 1 and partition is None and args.limit is None:
-            lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
-            for line in lines:
-                stream.write(line + "\n")
-                emitted += 1
-        else:
-            for mu in enumeration.enum_class(args.n, args.klass, partition):
-                stream.write(serialize_schedule(mu) + "\n")
-                emitted += 1
-                if args.limit is not None and emitted >= args.limit:
-                    break
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    # Closing the stream at once ends a --threads pool even when the reader
+    # has gone away mid-stream.
+    with _out_stream(args) as stream, closing(lines):
+        for line in lines:
+            stream.write(line + "\n")
+            emitted += 1
     print(f"count={emitted}", file=sys.stderr)
     return {"count": emitted}
 
@@ -179,16 +184,12 @@ def cmd_dynamics(args) -> dict:
     graph = dynamics.transition_graph(
         f, mu, cap=args.cap_substeps, workers=args.threads
     )
-    stream = _out_stream(args)
-    try:
+    with _out_stream(args) as stream:
         if args.format == "dot":
             stream.write(dynamics.to_dot(graph))
         else:
             json.dump(dynamics.graph_json(graph), stream, indent=2)
             stream.write("\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return {"cycles": list(graph.cycle_lengths())}
 
 
@@ -312,8 +313,7 @@ def cmd_bench(args) -> dict:
                     "ratio": round(median / reference, 4) if reference else None,
                 }
             )
-    stream = _out_stream(args)
-    try:
+    with _out_stream(args) as stream:
         if args.format == "json":
             json.dump(rows, stream, indent=2)
             stream.write("\n")
@@ -325,9 +325,6 @@ def cmd_bench(args) -> dict:
                     f"{'' if row['reference_s'] is None else row['reference_s']},"
                     f"{'' if row['ratio'] is None else row['ratio']}\n"
                 )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return {"rows": len(rows)}
 
 
@@ -351,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="stream one schedule per class member")
     p.add_argument("n", type=int)
     p.add_argument("--class", dest="klass", choices=enumeration.CLASSES, default="bp")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_non_negative_int, default=None,
+                   help="stop after this many schedules")
     p.add_argument("--partition", help='restrict to one support, e.g. "2+2+3"')
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", metavar="FILE")
@@ -404,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_bench)
-
-    parser.add_argument("--seed", type=int, default=None, help="accepted for reproducibility; recorded in reports")
     return parser
 
 
@@ -417,16 +413,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     result: dict = {}
     try:
         result = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: the command ends quietly, as if complete.
+        # Point stdout at devnull so the interpreter's last flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         status = EXIT_MISSING_FILE
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_RESOURCE_CAP
-    except (ScheduleFormatError, NetworkSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = EXIT_BAD_INPUT
-    except BlockparError as exc:
+    except CrossCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        status = EXIT_INTERNAL
+    except (BlockparError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_BAD_INPUT
     if args.report:

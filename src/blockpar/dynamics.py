@@ -2,7 +2,11 @@
 
 One *step* of a network under a block-parallel schedule is the composition of
 one block update per substep; an automaton in a short o-block is updated many
-times per step.  Everything here is exact and exhaustive, guarded by explicit
+times per step.  One kernel, ``_trajectory``, runs the substeps of
+:meth:`PartitionedOrder.substeps` from one configuration; ``step`` and
+``step_trace`` read it.  One evaluator, ``_images``, yields the step image of
+every configuration in order; the transition graph and the whole-space
+deciders read it.  Everything here is exact and exhaustive, guarded by explicit
 resource caps: ``cap`` bounds the number of substeps a single step may expand
 to, ``n_cap`` bounds the network size for whole-graph operations.  Exceeding a
 cap raises :class:`ResourceCapError` rather than truncating.
@@ -11,8 +15,9 @@ cap raises :class:`ResourceCapError` rather than truncating.
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CrossCheckError, ResourceCapError
 from .network import (
@@ -42,13 +47,32 @@ def _check_config(x: int, n: int) -> None:
         raise ValueError(f"configuration {x} out of range for n={n}")
 
 
-def _check_substeps(mu: PartitionedOrder, cap: int) -> int:
+def _check_substeps(mu: PartitionedOrder, cap: int) -> None:
     length = mu.lcm()
     if length > cap:
         raise ResourceCapError(
             f"one step expands to {length} substeps, above the cap of {cap}"
         )
-    return length
+
+
+def _trajectory(compiled, substeps: Iterable[tuple[int, ...]], x: int
+                ) -> Iterator[int]:
+    """The substep kernel: the configuration after each substep, from ``x``."""
+    for block in substeps:
+        nxt = x
+        for i in block:
+            if compiled[i](x):
+                nxt |= 1 << i
+            else:
+                nxt &= ~(1 << i)
+        x = nxt
+        yield x
+
+
+def _image(compiled, substeps: Iterable[tuple[int, ...]], x: int) -> int:
+    # A deque of length one keeps only the last configuration: a gadget step
+    # runs hundreds of thousands of substeps.
+    return deque(_trajectory(compiled, substeps, x), maxlen=1)[0]
 
 
 def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
@@ -56,20 +80,8 @@ def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
     """Image of ``x`` after one full step: all substep block updates in order."""
     _require_compatible(f, mu)
     _check_config(x, f.n)
-    length = _check_substeps(mu, cap)
-    compiled = f.compiled()
-    oblocks = mu.oblocks
-    cur = x
-    for t in range(length):
-        nxt = cur
-        for block in oblocks:
-            i = block[t % len(block)]
-            if compiled[i](cur):
-                nxt |= 1 << i
-            else:
-                nxt &= ~(1 << i)
-        cur = nxt
-    return cur
+    _check_substeps(mu, cap)
+    return _image(f.compiled(), mu.substeps(), x)
 
 
 def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
@@ -77,22 +89,27 @@ def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
     """``x`` followed by the configuration after each substep (length lcm+1)."""
     _require_compatible(f, mu)
     _check_config(x, f.n)
-    length = _check_substeps(mu, cap)
+    _check_substeps(mu, cap)
+    return [x, *_trajectory(f.compiled(), mu.substeps(), x)]
+
+
+def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
+            cap: int, configs: Optional[range] = None) -> Iterator[int]:
+    """The whole-space evaluator: the one-step image of every configuration
+    in ``configs`` (default all ``2**n``), lazily and in order.
+
+    The checks run at call time; ``what`` names the operation in the
+    ``n_cap`` error message.
+    """
+    _require_compatible(f, mu)
+    if f.n > n_cap:
+        raise ResourceCapError(f"{what} exceeds n_cap={n_cap}")
+    _check_substeps(mu, cap)
     compiled = f.compiled()
-    oblocks = mu.oblocks
-    trace = [x]
-    cur = x
-    for t in range(length):
-        nxt = cur
-        for block in oblocks:
-            i = block[t % len(block)]
-            if compiled[i](cur):
-                nxt |= 1 << i
-            else:
-                nxt &= ~(1 << i)
-        cur = nxt
-        trace.append(cur)
-    return trace
+    substeps = tuple(mu.substeps())
+    if configs is None:
+        configs = range(1 << f.n)
+    return (_image(compiled, substeps, x) for x in configs)
 
 
 class DynamicsGraph:
@@ -148,9 +165,8 @@ class DynamicsGraph:
         return tuple(sorted(len(c) for c in self.cycles))
 
 
-def _successor_chunk(task) -> list[int]:
-    f, mu, lo, hi, cap = task
-    return [step(f, mu, x, cap=cap) for x in range(lo, hi)]
+def _image_chunk(task) -> list[int]:
+    return list(_images(*task))
 
 
 def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
@@ -162,21 +178,16 @@ def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
     ``workers > 1`` splits the configuration space across processes; the
     result is identical to the sequential one.
     """
-    _require_compatible(f, mu)
-    if f.n > n_cap:
-        raise ResourceCapError(
-            f"transition graph over 2**{f.n} configurations exceeds n_cap={n_cap}"
-        )
-    _check_substeps(mu, cap)
-    size = 1 << f.n
+    what = f"transition graph over 2**{f.n} configurations"
+    images = _images(f, mu, what, n_cap, cap)
     if workers <= 1:
-        successors = [step(f, mu, x, cap=cap) for x in range(size)]
-    else:
-        chunk = max(1, size // (4 * workers))
-        bounds = list(range(0, size, chunk)) + [size]
-        tasks = [(f, mu, lo, hi, cap) for lo, hi in zip(bounds, bounds[1:])]
-        with multiprocessing.Pool(workers) as pool:
-            successors = [x for chunk in pool.map(_successor_chunk, tasks) for x in chunk]
+        return DynamicsGraph(f.n, list(images))
+    size = 1 << f.n
+    chunk = max(1, size // (4 * workers))
+    tasks = [(f, mu, what, n_cap, cap, range(lo, min(lo + chunk, size)))
+             for lo in range(0, size, chunk)]
+    with multiprocessing.Pool(workers) as pool:
+        successors = [x for part in pool.map(_image_chunk, tasks) for x in part]
     return DynamicsGraph(f.n, successors)
 
 
@@ -251,12 +262,8 @@ def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
     """Some configuration mapping to ``y`` in one step, or None."""
     _require_compatible(f, mu)
     _check_config(y, f.n)
-    if f.n > n_cap:
-        raise ResourceCapError(f"preimage search over 2**{f.n} exceeds n_cap={n_cap}")
-    for x in range(1 << f.n):
-        if step(f, mu, x, cap=cap) == y:
-            return x
-    return None
+    images = _images(f, mu, f"preimage search over 2**{f.n}", n_cap, cap)
+    return next((x for x, image in enumerate(images) if image == y), None)
 
 
 def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
@@ -269,11 +276,9 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     update.  The two answers must agree; a composition of block updates is
     bijective exactly when every factor is.
     """
-    _require_compatible(f, mu)
-    if f.n > n_cap:
-        raise ResourceCapError(f"bijectivity check over 2**{f.n} exceeds n_cap={n_cap}")
+    images = _images(f, mu, f"bijectivity check over 2**{f.n}", n_cap, cap)
     size = 1 << f.n
-    whole_step = len({step(f, mu, x, cap=cap) for x in range(size)}) == size
+    whole_step = len(set(images)) == size
     distinct_blocks = set(phi(mu, cap=cap).blocks)
     per_block = all(
         len({update_block(f, block, x) for x in range(size)}) == size
@@ -291,24 +296,17 @@ def is_identity(f: BooleanNetwork, mu: PartitionedOrder,
                 n_cap: int = DEFAULT_GRAPH_N_CAP,
                 cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
     """Is every configuration a fixed point?"""
-    _require_compatible(f, mu)
-    if f.n > n_cap:
-        raise ResourceCapError(f"identity check over 2**{f.n} exceeds n_cap={n_cap}")
-    return all(step(f, mu, x, cap=cap) == x for x in range(1 << f.n))
+    images = _images(f, mu, f"identity check over 2**{f.n}", n_cap, cap)
+    return all(image == x for x, image in enumerate(images))
 
 
 def is_constant(f: BooleanNetwork, mu: PartitionedOrder,
                 n_cap: int = DEFAULT_GRAPH_N_CAP,
                 cap: int = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
     """The common image if one step is a constant map, else None."""
-    _require_compatible(f, mu)
-    if f.n > n_cap:
-        raise ResourceCapError(f"constant check over 2**{f.n} exceeds n_cap={n_cap}")
-    image = step(f, mu, 0, cap=cap)
-    for x in range(1, 1 << f.n):
-        if step(f, mu, x, cap=cap) != image:
-            return None
-    return image
+    images = _images(f, mu, f"constant check over 2**{f.n}", n_cap, cap)
+    image = next(images)
+    return image if all(other == image for other in images) else None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ o-blocks.  The three classes differ only in how a matrix may be filled:
                  ``a[j]`` come from a gcd/lcm scan over the part sizes.  This
                  cuts each limit-isomorphism class down to one representative.
 
+Both column classes share one filler: ``bp0`` is the ``bpstar`` filler with
+every budget ``a[j] = j``, which leaves the minimum free.
+
 Streams are lazy single-consumer generators with a deterministic order for a
 fixed ``n`` and class.
 """
@@ -90,31 +93,11 @@ def _fill_rows(elements: tuple[int, ...], j: int, m: int
     yield from rec(elements)
 
 
-def _fill_columns(elements: tuple[int, ...], j: int, m: int
-                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ways to fill a ``m x j`` matrix column by column, each column an
-    unordered ``m``-subset written ascending.  Yields the matrix as rows."""
-    if j == 1:
-        yield tuple((e,) for e in elements)
-        return
-
-    def rec(avail: tuple[int, ...], cols_left: int,
-            acc: tuple[tuple[int, ...], ...]
-            ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if cols_left == 1:
-            yield tuple(zip(*acc, avail))
-            return
-        nxt = cols_left - 1
-        for col in combinations(avail, m):
-            yield from rec(_without(avail, col), nxt, acc + (col,))
-
-    yield from rec(elements, j, ())
-
-
 def _fill_columns_shifted(elements: tuple[int, ...], j: int, m: int, budget: int
                           ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Column fillings whose matrix minimum lands within the first ``budget``
-    columns.  Yields the matrix as rows.
+    """All ways to fill a ``m x j`` matrix column by column, each column an
+    unordered ``m``-subset written ascending, whose minimum lands within the
+    first ``budget`` columns.  Yields the matrix as rows.
 
     Columns before the budget boundary are free choices; if the minimum is
     still unplaced when exactly ``j - budget + 1`` columns remain, it is
@@ -152,25 +135,24 @@ def _fill_count(kind: str, j: int, m: int, budget: int) -> int:
     total = 1
     for col in range(1, j + 1):
         total *= comb((j - col + 1) * m, m)
-    if kind == CLASS_BP_STAR:
-        total = total * budget // j
-    return total
+    return total * budget // j
 
 
 def _partition_stream(n: int, p: Partition, kind: str) -> Iterator[PartitionedOrder]:
     sizes = [(j, p.m(j)) for j in p.part_sizes()]
-    budgets = min_column_budgets(p) if kind == CLASS_BP_STAR else {}
+    if kind == CLASS_BP_STAR:
+        budgets = min_column_budgets(p)
+    else:
+        budgets = {j: j for j, _ in sizes}
 
     def fillings(elements, j, m):
         if kind == CLASS_BP:
             return _fill_rows(elements, j, m)
-        if kind == CLASS_BP0:
-            return _fill_columns(elements, j, m)
         return _fill_columns_shifted(elements, j, m, budgets[j])
 
     last = len(sizes) - 1
     small_enough = [
-        _fill_count(kind, j, m, budgets.get(j, 0)) <= _MATERIALIZE_LIMIT
+        _fill_count(kind, j, m, budgets[j]) <= _MATERIALIZE_LIMIT
         for j, m in sizes
     ]
 

@@ -3,8 +3,9 @@
 A block-parallel update schedule is a *partitioned order*: an unordered set
 of ordered o-blocks covering the automata ``0..n-1``.  At substep ``t`` every
 o-block contributes its element at position ``t mod len(o-block)``; one full
-step consists of ``lcm`` of the o-block lengths substeps.  ``phi`` spells a
-schedule out as that sequence of update blocks.
+step consists of ``lcm`` of the o-block lengths substeps.  That rule is
+written once, in :meth:`PartitionedOrder.substeps`; ``phi`` spells a schedule
+out as that sequence of update blocks, and the simulator runs it.
 
 Two equivalences matter:
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import cycle, islice
+from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceCapError, ScheduleFormatError
 from .partitions import Partition
@@ -84,6 +86,14 @@ class PartitionedOrder:
         """Number of substeps in one full step."""
         return math.lcm(*{len(block) for block in self.oblocks})
 
+    def substeps(self) -> Iterator[tuple[int, ...]]:
+        """The automata updated at each of the ``lcm`` substeps, lazily.
+
+        At substep ``t`` every o-block contributes its element at position
+        ``t mod len(o-block)``; the tuple lists them in o-block order.
+        """
+        return islice(zip(*map(cycle, self.oblocks)), self.lcm())
+
     def support(self) -> Partition:
         """The integer partition given by the o-block lengths."""
         return Partition.from_parts(len(block) for block in self.oblocks)
@@ -135,10 +145,6 @@ class BlockSequence:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    @property
-    def length(self) -> int:
-        return len(self.blocks)
-
 
 def phi(mu: PartitionedOrder, cap: Optional[int] = DEFAULT_BLOCK_CAP) -> BlockSequence:
     """Rewrite a partitioned order into its substep block sequence.
@@ -152,12 +158,7 @@ def phi(mu: PartitionedOrder, cap: Optional[int] = DEFAULT_BLOCK_CAP) -> BlockSe
         raise ResourceCapError(
             f"phi would produce {length} blocks, above the cap of {cap}"
         )
-    oblocks = mu.oblocks
-    blocks = tuple(
-        tuple(sorted(block[t % len(block)] for block in oblocks))
-        for t in range(length)
-    )
-    return BlockSequence(mu.n, blocks)
+    return BlockSequence(mu.n, tuple(mu.substeps()))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ package: ascending-part recursion for partitions, set-partition expansion for
 schedules, explicit rotation minimisation for shift classes.
 """
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -101,3 +102,13 @@ def step_via_phi(f, mu, x: int) -> int:
     for block in phi(mu).blocks:
         x = update_block(f, block, x)
     return x
+
+
+def substep_blocks(mu) -> tuple[tuple[int, ...], ...]:
+    """The update block of every substep, spelled out with explicit
+    ``t mod len(o-block)`` indexing rather than ``PartitionedOrder.substeps``."""
+    lengths = [len(block) for block in mu.oblocks]
+    return tuple(
+        tuple(sorted(block[t % len(block)] for block in mu.oblocks))
+        for t in range(math.lcm(*lengths))
+    )
