@@ -107,6 +107,27 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    # Two processes are always allowed, so a command line runs on any host.
+    bound = max(2, _usable_cpus())
+    if value > bound:
+        raise argparse.ArgumentTypeError(
+            f"{value} exceeds the bound of {bound} (max of 2 and the usable CPUs)"
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -351,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_non_negative_int, default=None,
                    help="stop after this many schedules")
     p.add_argument("--partition", help='restrict to one support, e.g. "2+2+3"')
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_enum)
 
@@ -373,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="full transition graph with cycle summary")
     add_simulation_args(p, config=False)
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_dynamics)
 
@@ -398,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_max", type=int)
     p.add_argument("--classes", default="bp,bp0,bpstar")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_bench)

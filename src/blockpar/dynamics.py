@@ -2,19 +2,27 @@
 
 One *step* of a network under a block-parallel schedule is the composition of
 one block update per substep; an automaton in a short o-block is updated many
-times per step.  One kernel, ``_trajectory``, runs the substeps of
+times per step.  The scalar kernel, ``_trajectory``, runs the substeps of
 :meth:`PartitionedOrder.substeps` from one configuration; ``step`` and
-``step_trace`` read it.  One evaluator, ``_images``, yields the step image of
-every configuration in order; the transition graph and the whole-space
-deciders read it.  Everything here is exact and exhaustive, guarded by explicit
-resource caps: ``cap`` bounds the number of substeps a single step may expand
-to, ``n_cap`` bounds the network size for whole-graph operations.  Exceeding a
-cap raises :class:`ResourceCapError` rather than truncating.
+``step_trace`` read it one configuration at a time, and it is the oracle
+for the whole-space evaluator.  That evaluator, ``_images``, is
+bit-sliced: it holds all ``2**n`` configurations as ``n`` bit-planes (one
+Python int per automaton, one bit per configuration), runs each substep once
+over every plane, and transposes the planes back into one image per
+configuration.  It works through sub-cubes of doubling size, so a decider
+that stops early evaluates few configurations.  The transition graph and the
+whole-space deciders read it; ``is_bijective`` checks it against a scalar
+per-block method.  Everything here is exact and exhaustive, guarded by
+explicit resource caps: ``cap`` bounds the number of substeps a single step
+may expand to, ``n_cap`` bounds the network size for whole-graph operations,
+``DEFAULT_REACH_STEP_CAP`` bounds the orbit ``reachable`` follows.  Exceeding
+a cap raises :class:`ResourceCapError` rather than truncating.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
@@ -35,6 +43,11 @@ from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, equiv0, phi
 
 DEFAULT_SUBSTEP_CAP = DEFAULT_BLOCK_CAP
 DEFAULT_GRAPH_N_CAP = 20
+#: Steps ``reachable`` may take: enough for any orbit within ``n_cap`` automata.
+DEFAULT_REACH_STEP_CAP = 1 << DEFAULT_GRAPH_N_CAP
+#: ``_images`` evaluates the first ``2**_FIRST_CUBE_WIDTH`` configurations
+#: alone, then sub-cubes that double in size.
+_FIRST_CUBE_WIDTH = 8
 
 
 def _require_compatible(f: BooleanNetwork, mu: PartitionedOrder) -> None:
@@ -93,23 +106,73 @@ def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
     return [x, *_trajectory(f.compiled(), mu.substeps(), x)]
 
 
-def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
-            cap: int, configs: Optional[range] = None) -> Iterator[int]:
-    """The whole-space evaluator: the one-step image of every configuration
-    in ``configs`` (default all ``2**n``), lazily and in order.
+def _cube_planes(n: int, base: int, width: int) -> tuple[list[int], int]:
+    """Bit-planes of the ``2**width`` configurations ``base, base + 1, ...``
+    (``base`` a multiple of ``2**width``), and the all-lanes mask.
 
-    The checks run at call time; ``what`` names the operation in the
-    ``n_cap`` error message.
+    Lane ``k`` holds configuration ``base + k``: plane ``i < width`` repeats
+    ``2**i`` zeros then ``2**i`` ones; the planes above are constant.
+    """
+    mask = (1 << (1 << width)) - 1
+    planes = [mask // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+              for i in range(width)]
+    planes.extend(mask if base >> i & 1 else 0 for i in range(width, n))
+    return planes, mask
+
+
+# A plane's binary digits, one byte per lane: b"0" -> 0, b"1" -> 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _transpose(planes: list[int], lanes: int) -> list[int]:
+    """The configuration held in each lane of ``planes``, lane 0 first.
+
+    Each group of eight planes becomes one byte per lane; the groups are
+    interleaved into machine words and read back as one list.
+    """
+    code = next(c for c in "BHIQ" if struct.calcsize(c) * 8 >= len(planes))
+    word = struct.calcsize(code)
+    table = bytearray(word * lanes)
+    for low in range(0, len(planes), 8):
+        group = 0
+        for i, plane in enumerate(planes[low:low + 8]):
+            digits = format(plane, f"0{lanes}b").encode().translate(_DIGIT_BYTES)
+            group |= int.from_bytes(digits, "big") << i
+        byte = low // 8 if sys.byteorder == "little" else word - 1 - low // 8
+        table[byte::word] = group.to_bytes(lanes, "little")
+    return memoryview(table).cast(code).tolist()
+
+
+def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
+            cap: int) -> Iterator[int]:
+    """The whole-space evaluator: the one-step image of every configuration,
+    in order.  The caps are checked at the call; the images come lazily.
+
+    Bit-sliced: a sub-cube of configurations is held as ``n`` bit-planes, one
+    lane per configuration, and each substep evaluates every updated local
+    once over all lanes.  The first sub-cube holds configurations below
+    ``2**_FIRST_CUBE_WIDTH``, then each sub-cube ``[2**k, 2**(k+1))`` follows,
+    so an early exit costs few lanes and the whole space costs ``2**n``.
+    ``what`` names the operation in the ``n_cap`` error.
     """
     _require_compatible(f, mu)
     if f.n > n_cap:
         raise ResourceCapError(f"{what} exceeds n_cap={n_cap}")
     _check_substeps(mu, cap)
-    compiled = f.compiled()
-    substeps = tuple(mu.substeps())
-    if configs is None:
-        configs = range(1 << f.n)
-    return (_image(compiled, substeps, x) for x in configs)
+    return _sub_cube_images(f, mu)
+
+
+def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[int]:
+    sliced = f.sliced()
+    first = min(f.n, _FIRST_CUBE_WIDTH)
+    for base, width in [(0, first), *((1 << k, k) for k in range(first, f.n))]:
+        planes, mask = _cube_planes(f.n, base, width)
+        for block in mu.substeps():
+            nxt = list(planes)
+            for i in block:
+                nxt[i] = sliced[i](planes, mask)
+            planes = nxt
+        yield from _transpose(planes, 1 << width)
 
 
 class DynamicsGraph:
@@ -165,30 +228,17 @@ class DynamicsGraph:
         return tuple(sorted(len(c) for c in self.cycles))
 
 
-def _image_chunk(task) -> list[int]:
-    return list(_images(*task))
-
-
 def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
                      n_cap: int = DEFAULT_GRAPH_N_CAP,
                      cap: int = DEFAULT_SUBSTEP_CAP,
                      workers: int = 1) -> DynamicsGraph:
     """Successor of every configuration, with cycle decomposition.
 
-    ``workers > 1`` splits the configuration space across processes; the
-    result is identical to the sequential one.
+    ``workers`` is accepted and ignored: the sliced table is built in one
+    process, which is faster than starting a pool.
     """
     what = f"transition graph over 2**{f.n} configurations"
-    images = _images(f, mu, what, n_cap, cap)
-    if workers <= 1:
-        return DynamicsGraph(f.n, list(images))
-    size = 1 << f.n
-    chunk = max(1, size // (4 * workers))
-    tasks = [(f, mu, what, n_cap, cap, range(lo, min(lo + chunk, size)))
-             for lo in range(0, size, chunk)]
-    with multiprocessing.Pool(workers) as pool:
-        successors = [x for part in pool.map(_image_chunk, tasks) for x in part]
-    return DynamicsGraph(f.n, successors)
+    return DynamicsGraph(f.n, list(_images(f, mu, what, n_cap, cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +293,10 @@ def limit_isomorphic(f: BooleanNetwork, mu: PartitionedOrder, mu2: PartitionedOr
 
 def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
               cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
-    """Does the orbit of ``x`` reach ``y``?  At most ``2**n`` steps."""
+    """Does the orbit of ``x`` reach ``y``?  At most ``DEFAULT_REACH_STEP_CAP``
+    steps."""
     _check_config(y, f.n)
+    step_cap = DEFAULT_REACH_STEP_CAP
     seen: set[int] = set()
     cur = x
     while True:
@@ -252,6 +304,10 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
             return True
         if cur in seen:
             return False
+        if len(seen) >= step_cap:
+            raise ResourceCapError(
+                f"orbit search exceeds the step cap of {step_cap}"
+            )
         seen.add(cur)
         cur = step(f, mu, cur, cap=cap)
 

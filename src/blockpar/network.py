@@ -31,6 +31,9 @@ class Var:
     def source(self) -> str:
         return f"(x>>{self.index}&1)"
 
+    def plane_source(self) -> str:
+        return f"p[{self.index}]"
+
     def text(self) -> str:
         return f"x{self.index}"
 
@@ -50,6 +53,9 @@ class Const:
     def source(self) -> str:
         return str(self.value)
 
+    def plane_source(self) -> str:
+        return "m" if self.value else "0"
+
     def text(self) -> str:
         return str(self.value)
 
@@ -68,6 +74,9 @@ class Not:
 
     def source(self) -> str:
         return f"({self.operand.source()}^1)"
+
+    def plane_source(self) -> str:
+        return f"({self.operand.plane_source()}^m)"
 
     def text(self) -> str:
         inner = self.operand.text()
@@ -95,6 +104,9 @@ class _Binary:
 
     def source(self) -> str:
         return f"({self.left.source()}{self.symbol}{self.right.source()})"
+
+    def plane_source(self) -> str:
+        return f"({self.left.plane_source()}{self.symbol}{self.right.plane_source()})"
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -150,7 +162,7 @@ def and_chain(exprs: Iterable[Expr]) -> Expr:
 class BooleanNetwork:
     """``n`` expression locals over ``n`` automata.  Immutable after creation."""
 
-    __slots__ = ("n", "locals", "_compiled")
+    __slots__ = ("n", "locals", "_compiled", "_sliced")
 
     def __init__(self, locals_: Iterable[Expr]):
         self.locals = tuple(locals_)
@@ -164,6 +176,7 @@ class BooleanNetwork:
                     f"local function {i} references x{min(bad)} but n={self.n}"
                 )
         self._compiled = None
+        self._sliced = None
 
     def compiled(self) -> tuple[Callable[[int], int], ...]:
         """Locals compiled to bitmask lambdas; built once, cached."""
@@ -172,6 +185,18 @@ class BooleanNetwork:
                 eval(f"lambda x: {expr.source()}") for expr in self.locals
             )
         return self._compiled
+
+    def sliced(self) -> tuple[Callable[[list[int], int], int], ...]:
+        """Locals compiled to bit-plane lambdas ``(p, m)``; built once, cached.
+
+        Lane ``k`` of plane ``p[i]`` is automaton ``i`` in the ``k``-th
+        configuration of a batch; ``m`` has every lane set.
+        """
+        if self._sliced is None:
+            self._sliced = tuple(
+                eval(f"lambda p, m: {expr.plane_source()}") for expr in self.locals
+            )
+        return self._sliced
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanNetwork):
@@ -235,7 +260,7 @@ def parse_config(text: str, n: Optional[int] = None) -> int:
 
 def format_config(x: int, n: int) -> str:
     """Configuration to bitstring; automaton 0 leftmost."""
-    return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
+    return format(x & ((1 << n) - 1), f"0{n}b")[::-1]
 
 
 # ---------------------------------------------------------------------------

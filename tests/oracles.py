@@ -112,3 +112,16 @@ def substep_blocks(mu) -> tuple[tuple[int, ...], ...]:
         tuple(sorted(block[t % len(block)] for block in mu.oblocks))
         for t in range(math.lcm(*lengths))
     )
+
+
+def substep_image(f, mu, x: int) -> int:
+    """One step as ``update_block`` over ``substep_blocks``, one configuration
+    at a time."""
+    for block in substep_blocks(mu):
+        x = update_block(f, block, x)
+    return x
+
+
+def format_config_bits(x: int, n: int) -> str:
+    """Configuration to bitstring, one shifted bit per character."""
+    return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
