@@ -167,13 +167,12 @@ def cmd_enum(args) -> dict:
     if args.threads > 1 and partition is None and args.limit is None:
         lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
     else:
-        schedules = enumeration.enum_class(args.n, args.klass, partition)
-        lines = (serialize_schedule(mu) for mu in islice(schedules, args.limit))
+        lines = enumeration.class_lines(args.n, args.klass, partition)
     emitted = 0
     # Closing the stream at once ends a --threads pool even when the reader
     # has gone away mid-stream.
     with _out_stream(args) as stream, closing(lines):
-        for line in lines:
+        for line in islice(lines, args.limit):
             stream.write(line + "\n")
             emitted += 1
     print(f"count={emitted}", file=sys.stderr)

@@ -17,18 +17,26 @@ Both column classes share one filler: ``bp0`` is the ``bpstar`` filler with
 every budget ``a[j] = j``, which leaves the minimum free.
 
 Streams are lazy single-consumer generators with a deterministic order for a
-fixed ``n`` and class.
+fixed ``n`` and class.  One recursion walks the fillings and renders each one
+once, per content choice or per subtree; a schedule is the concatenation of
+one piece per matrix, smallest part size first, which is the canonical
+o-block order.  :func:`enum_class` renders a filling as its sorted rows and
+wraps them in a :class:`PartitionedOrder`; :func:`class_lines` renders it
+as its piece of the schedule text, so each line is already
+``serialize_schedule(mu)``.  :func:`sharded_lines` spreads the partitions of
+``n`` over a process pool, at most ``workers`` partitions in flight.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from itertools import combinations, permutations
+from collections import deque
+from itertools import combinations, filterfalse, islice, permutations
 from math import comb, factorial, gcd, lcm
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .partitions import Partition, partitions_of
-from .schedule import PartitionedOrder, serialize_schedule
+from .schedule import PartitionedOrder, format_oblocks
 
 CLASS_BP = "bp"
 CLASS_BP0 = "bp0"
@@ -62,8 +70,7 @@ def min_column_budgets(p: Partition) -> dict[int, int]:
 
 
 def _without(pool: tuple[int, ...], taken) -> tuple[int, ...]:
-    dropped = set(taken)
-    return tuple(e for e in pool if e not in dropped)
+    return tuple(filterfalse(set(taken).__contains__, pool))
 
 
 def _fill_rows(elements: tuple[int, ...], j: int, m: int
@@ -138,7 +145,26 @@ def _fill_count(kind: str, j: int, m: int, budget: int) -> int:
     return total * budget // j
 
 
-def _partition_stream(n: int, p: Partition, kind: str) -> Iterator[PartitionedOrder]:
+def _rows_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool
+               ) -> tuple[tuple[int, ...], ...]:
+    """A matrix filling as its o-blocks in canonical order."""
+    return tuple(sorted(rows))
+
+
+def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) -> str:
+    """A matrix filling as its piece of the schedule text."""
+    return format_oblocks(sorted(rows), opens, closes)
+
+
+def _partition_stream(n: int, p: Partition, kind: str, render: Callable) -> Iterator:
+    """Every schedule of class ``kind`` with support ``p``, each the
+    concatenation of one ``render(rows, opens, closes)`` piece per matrix.
+
+    Pieces are concatenated smallest part size first, which is the canonical
+    o-block order; ``opens`` marks the first piece and ``closes`` the last.
+    Each filling is rendered once: per content choice for materialised
+    matrices, else once per subtree below it.
+    """
     sizes = [(j, p.m(j)) for j in p.part_sizes()]
     if kind == CLASS_BP_STAR:
         budgets = min_column_budgets(p)
@@ -156,30 +182,29 @@ def _partition_stream(n: int, p: Partition, kind: str) -> Iterator[PartitionedOr
         for j, m in sizes
     ]
 
-    def rec(remaining: tuple[int, ...], idx: int
-            ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(remaining: tuple[int, ...], idx: int) -> Iterator:
         j, m = sizes[idx]
+        closes = idx == 0
         if idx == last:
-            yield from fillings(remaining, j, m)
+            for rows in fillings(remaining, j, m):
+                yield render(rows, True, closes)
             return
         nxt = idx + 1
         for chosen in combinations(remaining, j * m):
             rest = _without(remaining, chosen)
             if small_enough[idx]:
-                # Materialise this matrix's fillings so the subtree below is
+                # Materialise this matrix's pieces so the subtree below is
                 # walked once per content choice, not once per filling.
-                fill_list = list(fillings(chosen, j, m))
+                pieces = [render(rows, False, closes) for rows in fillings(chosen, j, m)]
                 for tail in rec(rest, nxt):
-                    for rows in fill_list:
-                        yield rows + tail
+                    yield from map(tail.__add__, pieces)
             else:
                 for rows in fillings(chosen, j, m):
+                    piece = render(rows, False, closes)
                     for tail in rec(rest, nxt):
-                        yield rows + tail
+                        yield tail + piece
 
-    from_rows = PartitionedOrder._from_rows
-    for rows in rec(tuple(range(n)), 0):
-        yield from_rows(n, rows)
+    return rec(tuple(range(n)), 0)
 
 
 def _check_args(n: int, partition: Optional[Partition]) -> None:
@@ -189,18 +214,36 @@ def _check_args(n: int, partition: Optional[Partition]) -> None:
         raise ValueError(f"partition {partition.label()} is not a partition of {n}")
 
 
+def _supports(n: int, kind: str, partition: Optional[Partition]) -> Iterable[Partition]:
+    """The partitions a class stream walks, after checking its arguments."""
+    if kind not in CLASSES:
+        raise ValueError(f"unknown schedule class {kind!r}, expected one of {CLASSES}")
+    _check_args(n, partition)
+    return [partition] if partition is not None else partitions_of(n)
+
+
 def enum_class(n: int, kind: str, partition: Optional[Partition] = None
                ) -> Iterator[PartitionedOrder]:
     """Stream one schedule per class member for ``kind`` in ``bp|bp0|bpstar``.
 
     ``partition`` restricts the stream to schedules with that support.
     """
-    if kind not in CLASSES:
-        raise ValueError(f"unknown schedule class {kind!r}, expected one of {CLASSES}")
-    _check_args(n, partition)
-    supports = [partition] if partition is not None else partitions_of(n)
-    for p in supports:
-        yield from _partition_stream(n, p, kind)
+    from_rows = PartitionedOrder._from_rows
+    for p in _supports(n, kind, partition):
+        for rows in _partition_stream(n, p, kind, _rows_piece):
+            yield from_rows(n, rows)
+
+
+def class_lines(n: int, kind: str, partition: Optional[Partition] = None
+                ) -> Iterator[str]:
+    """The stream of :func:`enum_class` in the schedule text format.
+
+    Yields ``serialize_schedule(mu)`` for each ``mu`` of ``enum_class(n, kind,
+    partition)``, without a newline, but builds no schedule objects: each
+    line is the concatenation of the text pieces of its matrices.
+    """
+    for p in _supports(n, kind, partition):
+        yield from _partition_stream(n, p, kind, _text_piece)
 
 
 def enum_bp(n: int, partition: Optional[Partition] = None) -> Iterator[PartitionedOrder]:
@@ -225,7 +268,7 @@ def enum_bp_star(n: int, partition: Optional[Partition] = None
 def _count_shard(task: tuple[int, str, tuple[int, ...]]) -> int:
     n, kind, parts = task
     p = Partition.from_parts(parts)
-    return sum(1 for _ in _partition_stream(n, p, kind))
+    return sum(1 for _ in _partition_stream(n, p, kind, _rows_piece))
 
 
 def class_count(n: int, kind: str, workers: int = 1) -> int:
@@ -234,28 +277,32 @@ def class_count(n: int, kind: str, workers: int = 1) -> int:
     Sharded totals are identical to sequential ones; workers only split the
     outer loop over partitions.
     """
-    if kind not in CLASSES:
-        raise ValueError(f"unknown schedule class {kind!r}, expected one of {CLASSES}")
-    _check_args(n, None)
     if workers <= 1:
         return sum(1 for _ in enum_class(n, kind))
-    tasks = [(n, kind, p.parts) for p in partitions_of(n)]
+    tasks = [(n, kind, p.parts) for p in _supports(n, kind, None)]
     with multiprocessing.Pool(workers) as pool:
         return sum(pool.imap(_count_shard, tasks))
 
 
-def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> list[str]:
+def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> str:
     n, kind, parts = task
-    p = Partition.from_parts(parts)
-    return [serialize_schedule(mu) for mu in _partition_stream(n, p, kind)]
+    return "\n".join(class_lines(n, kind, Partition.from_parts(parts)))
 
 
 def sharded_lines(n: int, kind: str, workers: int) -> Iterator[str]:
     """Serialized schedules in canonical order, partitions computed in parallel.
 
-    Buffers one partition's worth of output per worker; intended for the CLI.
+    At most ``workers`` partitions are in flight: a new one is submitted only
+    when the oldest one's text has come back.  Each worker still builds one
+    whole partition's text before returning it; intended for the CLI.
     """
-    tasks = [(n, kind, p.parts) for p in partitions_of(n)]
+    tasks = ((n, kind, p.parts) for p in _supports(n, kind, None))
     with multiprocessing.Pool(workers) as pool:
-        for chunk in pool.imap(_serialize_shard, tasks):
-            yield from chunk
+        window = deque(pool.apply_async(_serialize_shard, (task,))
+                       for task in islice(tasks, workers))
+        while window:
+            text = window.popleft().get()
+            task = next(tasks, None)
+            if task is not None:
+                window.append(pool.apply_async(_serialize_shard, (task,)))
+            yield from text.split("\n")

@@ -66,10 +66,11 @@ class PartitionedOrder:
 
     @classmethod
     def _from_rows(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "PartitionedOrder":
-        # Fast path for enumerators: rows are already a disjoint cover of 0..n-1.
+        # Fast path for enumerators: rows are already a disjoint cover of
+        # 0..n-1, in canonical order.
         self = object.__new__(cls)
         self.n = n
-        self.oblocks = tuple(sorted(rows, key=_oblock_key))
+        self.oblocks = rows
         return self
 
     @classmethod
@@ -291,9 +292,23 @@ def parse_schedule(text: str, n: Optional[int] = None) -> PartitionedOrder:
     missing = sorted(set(range(size)) - set(seen))
     if missing:
         raise ScheduleFormatError(f"automata missing from schedule: {missing}")
-    return PartitionedOrder._from_rows(size, tuple(tuple(block) for block in data))
+    rows = tuple(sorted((tuple(block) for block in data), key=_oblock_key))
+    return PartitionedOrder._from_rows(size, rows)
+
+
+def format_oblocks(oblocks: Iterable[tuple[int, ...]],
+                   opens: bool = True, closes: bool = True) -> str:
+    """O-blocks in the schedule text format, e.g. ``[[0],[1,2]]``.
+
+    With ``opens`` false the text starts with the separator instead of the
+    outer ``[``; with ``closes`` false it lacks the outer ``]``.  The pieces of
+    consecutive runs of o-blocks, the first opening and the last closing,
+    concatenate into the text of all of them.
+    """
+    body = "],[".join([",".join(map(str, block)) for block in oblocks])
+    return ("[[" if opens else ",[") + body + ("]]" if closes else "]")
 
 
 def serialize_schedule(mu: PartitionedOrder) -> str:
     """Render a schedule in the text format, o-blocks in canonical order."""
-    return json.dumps([list(block) for block in mu.oblocks], separators=(",", ":"))
+    return format_oblocks(mu.oblocks)

@@ -5,6 +5,7 @@ package: ascending-part recursion for partitions, set-partition expansion for
 schedules, explicit rotation minimisation for shift classes.
 """
 
+import json
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -125,3 +126,8 @@ def substep_image(f, mu, x: int) -> int:
 def format_config_bits(x: int, n: int) -> str:
     """Configuration to bitstring, one shifted bit per character."""
     return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
+
+
+def schedule_json(oblocks) -> str:
+    """Schedule text through ``json.dumps``, o-blocks in the order given."""
+    return json.dumps([list(block) for block in oblocks], separators=(",", ":"))

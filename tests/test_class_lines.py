@@ -1,0 +1,178 @@
+"""The text stream of the enumerators: ``class_lines`` against ``enum_class``
+plus ``serialize_schedule``, the bounded ``--threads`` window, and the bytes
+``blockpar enum`` writes.
+
+The pinned digests were taken from the CLI before schedule lines were built
+from text pieces, when every line went through ``json.dumps``.
+"""
+
+import hashlib
+from functools import lru_cache
+from itertools import islice
+
+import pytest
+
+from blockpar import enumeration
+from blockpar.cli import EXIT_OK, main
+from blockpar.enumeration import CLASSES, class_lines, enum_class, sharded_lines
+from blockpar.partitions import Partition, partitions_of
+from blockpar.schedule import format_oblocks, parse_schedule, serialize_schedule
+
+import oracles
+
+ENUM_7 = {
+    "bp": "deed779dddccb978bd271e5c52492b27905b5a636a75f8bb835873a3d18a29c7",
+    "bp0": "7f4fa573c776a144b48a30f0bed62a95c1cdabc21c5fdd8d981dc18714c3e282",
+    "bpstar": "4fa65b4cb6a05d0ad49bde6e12a0583fd434265198bb98f846cd141b8a9d9444",
+}
+
+
+def stdout_sha256(capsys, argv) -> str:
+    assert main(argv) == EXIT_OK
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", CLASSES)
+def test_enum_7_bytes_pinned(capsys, kind, threads):
+    argv = ["enum", "7", "--class", kind, "--threads", threads]
+    assert stdout_sha256(capsys, argv) == ENUM_7[kind]
+
+
+def test_enum_partition_limit_bytes_pinned(capsys):
+    argv = ["enum", "9", "--class", "bp0", "--partition", "2+3+4", "--limit", "500"]
+    assert stdout_sha256(capsys, argv) == (
+        "fd7f7ca38233faf96dd5beb9df13a15d069e1b7972c567c52c8bef0c2ee38c56"
+    )
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+def test_class_lines_match_enum_class(kind):
+    for n in range(1, 7):
+        expected = [oracles.schedule_json(mu.oblocks) for mu in enum_class(n, kind)]
+        assert list(class_lines(n, kind)) == expected
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+def test_unmaterialised_matrices_give_the_same_members(kind, monkeypatch):
+    # Without materialised pieces the fillings of a matrix are the outer
+    # loop, so the order changes but the members do not.
+    materialised = [serialize_schedule(mu) for mu in enum_class(6, kind)]
+    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", 0)
+    lines = list(class_lines(6, kind))
+    assert lines == [serialize_schedule(mu) for mu in enum_class(6, kind)]
+    assert lines != materialised
+    assert sorted(lines) == sorted(materialised)
+
+
+def test_class_lines_share_argument_checks():
+    for args in [(3, "nope"), (0, "bp"), (4, "bp", Partition.from_parts((2, 1)))]:
+        with pytest.raises(ValueError) as lines_error:
+            list(class_lines(*args))
+        with pytest.raises(ValueError) as schedules_error:
+            list(enum_class(*args))
+        assert str(lines_error.value) == str(schedules_error.value)
+
+
+def test_format_oblocks_pieces_concatenate():
+    blocks = [(3,), (0, 4), (2, 1, 5)]
+    whole = format_oblocks(blocks)
+    assert whole == oracles.schedule_json(blocks) == "[[3],[0,4],[2,1,5]]"
+    for cut in range(1, len(blocks)):
+        head = format_oblocks(blocks[:cut], opens=True, closes=False)
+        tail = format_oblocks(blocks[cut:], opens=False, closes=True)
+        assert head + tail == whole
+    middle = format_oblocks(blocks[1:2], opens=False, closes=False)
+    assert format_oblocks(blocks[:1], closes=False) + middle + format_oblocks(
+        blocks[2:], opens=False) == whole
+
+
+@lru_cache(maxsize=None)
+def bp_oracle(n: int) -> frozenset:
+    return frozenset(oracles.all_partitioned_orders(n))
+
+
+def test_restricted_streams_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.data())
+    @hypothesis.settings(max_examples=60, deadline=None)
+    def check(data):
+        n = data.draw(st.integers(1, 7), label="n")
+        kind = data.draw(st.sampled_from(CLASSES), label="kind")
+        p = data.draw(st.sampled_from(list(partitions_of(n))), label="p")
+        schedules = list(enum_class(n, kind, p))
+        lines = list(class_lines(n, kind, p))
+        assert lines == [serialize_schedule(mu) for mu in schedules]
+        for line, mu in zip(lines, schedules):
+            assert mu.support() == p
+            assert parse_schedule(line, n=n) == mu
+            assert oracles.schedule_json(mu.oblocks) == line
+        if kind == "bp":
+            parts = sorted(p.parts)
+            expected = {o for o in bp_oracle(n) if sorted(map(len, o)) == parts}
+            assert {mu.oblocks for mu in schedules} == expected
+            assert len(schedules) == len(expected)
+
+    check()
+
+
+class FakePool:
+    """A synchronous stand-in for ``multiprocessing.Pool``: a task runs when
+    its result is read, and the pool counts the results not yet read."""
+
+    instances: list = []
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.submitted = 0
+        self.outstanding = 0
+        self.peak = 0
+        FakePool.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, func, args):
+        pool = self
+        self.submitted += 1
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+
+        class Result:
+            def get(self):
+                pool.outstanding -= 1
+                return func(*args)
+
+        return Result()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.instances = []
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", FakePool)
+    return FakePool
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kind", CLASSES)
+def test_sharded_window_is_bounded(fake_pool, kind, workers):
+    assert list(sharded_lines(6, kind, workers)) == list(class_lines(6, kind))
+    (pool,) = fake_pool.instances
+    assert pool.workers == workers
+    assert pool.peak == workers
+    assert pool.submitted == len(list(partitions_of(6)))
+    assert pool.outstanding == 0
+
+
+def test_sharded_window_submits_lazily(fake_pool):
+    lines = sharded_lines(8, "bp", 2)
+    assert list(islice(lines, 3)) == list(islice(class_lines(8, "bp"), 3))
+    lines.close()
+    (pool,) = fake_pool.instances
+    # Two tasks fill the window; reading the first result submits a third.
+    assert pool.submitted == 3
