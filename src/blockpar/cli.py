@@ -131,30 +131,28 @@ def _thread_count(text: str) -> int:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_count(args) -> dict:
-    rows = []
-    for n in range(1, args.n_max + 1):
-        rows.append(
-            {
-                "n": n,
-                "bs": counting.count_bs(n),
-                "bp": counting.count_bp(n),
-                "bp0": counting.count_bp0(n),
-                "bp_star": counting.count_bp_star(n),
-                "bs_inter_bp": counting.count_bs_inter_bp(n),
-            }
-        )
+def _write_table(args, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """``rows`` under ``header``: a JSON list of objects or CSV, per ``--format``.
+
+    ``None`` is JSON ``null`` and an empty CSV field.
+    """
     with _out_stream(args) as stream:
         if args.format == "json":
-            json.dump(rows, stream, indent=2)
+            json.dump([dict(zip(header, row)) for row in rows], stream, indent=2)
             stream.write("\n")
         else:
-            stream.write("n,bs,bp,bp0,bp_star,bs_inter_bp\n")
+            stream.write(",".join(header) + "\n")
             for row in rows:
-                stream.write(
-                    f"{row['n']},{row['bs']},{row['bp']},{row['bp0']},"
-                    f"{row['bp_star']},{row['bs_inter_bp']}\n"
-                )
+                stream.write(",".join("" if v is None else str(v) for v in row) + "\n")
+
+
+def cmd_count(args) -> dict:
+    rows = [
+        (n, counting.count_bs(n), counting.count_bp(n), counting.count_bp0(n),
+         counting.count_bp_star(n), counting.count_bs_inter_bp(n))
+        for n in range(1, args.n_max + 1)
+    ]
+    _write_table(args, ("n", "bs", "bp", "bp0", "bp_star", "bs_inter_bp"), rows)
     return {"rows": len(rows)}
 
 
@@ -268,6 +266,8 @@ def cmd_check(args) -> dict:
             graph = json.loads(_read_file(args.graph))
         except json.JSONDecodeError as exc:
             raise ScheduleFormatError(f"bad subdynamics graph JSON: {exc}") from exc
+        except RecursionError:
+            raise ScheduleFormatError("bad subdynamics graph JSON: nested too deeply") from None
         if not isinstance(graph, dict):
             raise ScheduleFormatError("subdynamics graph must be a JSON object")
         return _answer(dynamics.subdynamics(f, mu, graph, cap=cap))
@@ -323,28 +323,10 @@ def cmd_bench(args) -> dict:
                 timings.append(time.perf_counter() - started)
             median = statistics.median(timings)
             reference = REFERENCE_SECONDS.get((klass, n))
-            rows.append(
-                {
-                    "class": klass,
-                    "n": n,
-                    "count": count,
-                    "median_s": round(median, 4),
-                    "reference_s": reference,
-                    "ratio": round(median / reference, 4) if reference else None,
-                }
-            )
-    with _out_stream(args) as stream:
-        if args.format == "json":
-            json.dump(rows, stream, indent=2)
-            stream.write("\n")
-        else:
-            stream.write("class,n,count,median_s,reference_s,ratio\n")
-            for row in rows:
-                stream.write(
-                    f"{row['class']},{row['n']},{row['count']},{row['median_s']},"
-                    f"{'' if row['reference_s'] is None else row['reference_s']},"
-                    f"{'' if row['ratio'] is None else row['ratio']}\n"
-                )
+            ratio = round(median / reference, 4) if reference else None
+            rows.append((klass, n, count, round(median, 4), reference, ratio))
+    header = ("class", "n", "count", "median_s", "reference_s", "ratio")
+    _write_table(args, header, rows)
     return {"rows": len(rows)}
 
 

@@ -12,11 +12,13 @@ over every plane, and transposes the planes back into one image per
 configuration.  It works through sub-cubes of doubling size, so a decider
 that stops early evaluates few configurations.  The transition graph and the
 whole-space deciders read it; ``is_bijective`` checks it against a scalar
-per-block method.  Everything here is exact and exhaustive, guarded by
-explicit resource caps: ``cap`` bounds the number of substeps a single step
-may expand to, ``n_cap`` bounds the network size for whole-graph operations,
-``DEFAULT_REACH_STEP_CAP`` bounds the orbit ``reachable`` follows.  Exceeding
-a cap raises :class:`ResourceCapError` rather than truncating.
+per-block method.  Every cycle decomposition, of the transition graph and
+of a subdynamics pattern, is one pointer chase, ``_decompose``.  Everything
+here is exact and exhaustive, guarded by explicit resource caps: ``cap``
+bounds the number of substeps a single step may expand to, ``n_cap`` bounds
+the network size for whole-graph operations, ``DEFAULT_REACH_STEP_CAP``
+bounds the orbit ``reachable`` follows.  Exceeding a cap raises
+:class:`ResourceCapError` rather than truncating.
 """
 
 from __future__ import annotations
@@ -175,6 +177,51 @@ def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[int]:
         yield from _transpose(planes, 1 << width)
 
 
+def _decompose(successors: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Cycles and basins of the functional graph ``x -> successors[x]`` on
+    ``0..len(successors)-1``.
+
+    Each cycle is rotated to start at its smallest member; ``basin[x]`` is the
+    index of the cycle the orbit of ``x`` reaches.
+    """
+    size = len(successors)
+    # Iterative three-colour pointer chase: 0 unseen, 1 on current path, 2 resolved.
+    state = bytearray(size)
+    basin = [-1] * size
+    cycles: list[tuple[int, ...]] = []
+    for start in range(size):
+        if state[start]:
+            continue
+        path: list[int] = []
+        position: dict[int, int] = {}
+        u = start
+        while state[u] == 0:
+            state[u] = 1
+            position[u] = len(path)
+            path.append(u)
+            u = successors[u]
+        if state[u] == 1:
+            members = path[position[u]:]
+            lowest = members.index(min(members))
+            cycle_id = len(cycles)
+            cycles.append(tuple(members[lowest:] + members[:lowest]))
+        else:
+            cycle_id = basin[u]
+        for w in path:
+            state[w] = 2
+            basin[w] = cycle_id
+    return cycles, basin
+
+
+def _tree_children(successors, on_cycle) -> dict[int, list[int]]:
+    """The off-cycle predecessors of each vertex that has any."""
+    children: dict[int, list[int]] = {}
+    for x, s in enumerate(successors):
+        if x not in on_cycle:
+            children.setdefault(s, []).append(x)
+    return children
+
+
 class DynamicsGraph:
     """Functional graph of one full step over all ``2**n`` configurations.
 
@@ -191,31 +238,7 @@ class DynamicsGraph:
             raise ValueError(f"expected {size} successors, got {len(successors)}")
         self.n = n
         self.successors = tuple(successors)
-        # Iterative three-colour pointer chase: 0 unseen, 1 on current path, 2 resolved.
-        state = bytearray(size)
-        basin = [-1] * size
-        cycles: list[tuple[int, ...]] = []
-        for start in range(size):
-            if state[start]:
-                continue
-            path: list[int] = []
-            position: dict[int, int] = {}
-            u = start
-            while state[u] == 0:
-                state[u] = 1
-                position[u] = len(path)
-                path.append(u)
-                u = successors[u]
-            if state[u] == 1:
-                members = path[position[u]:]
-                lowest = members.index(min(members))
-                cycle_id = len(cycles)
-                cycles.append(tuple(members[lowest:] + members[:lowest]))
-            else:
-                cycle_id = basin[u]
-            for w in path:
-                state[w] = 2
-                basin[w] = cycle_id
+        cycles, basin = _decompose(successors)
         self.cycles = tuple(cycles)
         self.basin = tuple(basin)
         self.limit_set = frozenset(c for cycle in cycles for c in cycle)
@@ -368,38 +391,6 @@ def is_constant(f: BooleanNetwork, mu: PartitionedOrder,
 # ---------------------------------------------------------------------------
 # Subdynamics recognition
 
-def _functional_components(graph: Mapping[object, object]):
-    """Cycle + hanging-tree decomposition of a small functional graph."""
-    for node, succ in graph.items():
-        if succ not in graph:
-            raise ValueError(f"successor {succ!r} of {node!r} is not a vertex")
-    state: dict[object, int] = {}
-    cycles: list[list[object]] = []
-    on_cycle: set[object] = set()
-    for start in graph:
-        if state.get(start):
-            continue
-        path: list[object] = []
-        position: dict[object, int] = {}
-        u = start
-        while state.get(u, 0) == 0:
-            state[u] = 1
-            position[u] = len(path)
-            path.append(u)
-            u = graph[u]
-        if state[u] == 1:
-            members = path[position[u]:]
-            cycles.append(members)
-            on_cycle.update(members)
-        for w in path:
-            state[w] = 2
-    children: dict[object, list[object]] = {node: [] for node in graph}
-    for node, succ in graph.items():
-        if node not in on_cycle:
-            children[succ].append(node)
-    return cycles, children
-
-
 def _kuhn_match(left: list, right: list, feasible) -> bool:
     """Can every left vertex be matched to a distinct feasible right vertex?"""
     match_of: dict = {}
@@ -435,27 +426,33 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
         raise ResourceCapError(
             f"subdynamics graph has {len(graph)} vertices, above node_cap={node_cap}"
         )
-    g_cycles, g_children = _functional_components(dict(graph))
+    # Relabel the vertices 0..k-1, in the order given.
+    label = {node: k for k, node in enumerate(graph)}
+    g_successors = []
+    for node, succ in graph.items():
+        try:
+            g_successors.append(label[succ])
+        except (KeyError, TypeError):
+            raise ValueError(f"successor {succ!r} of {node!r} is not a vertex") from None
+    g_cycles, _ = _decompose(g_successors)
+    g_children = _tree_children(g_successors, {u for c in g_cycles for u in c})
     dyn = transition_graph(f, mu, n_cap=n_cap, cap=cap)
-    dyn_children: dict[int, list[int]] = {}
-    for x, s in enumerate(dyn.successors):
-        if x not in dyn.limit_set:
-            dyn_children.setdefault(s, []).append(x)
+    dyn_children = _tree_children(dyn.successors, dyn.limit_set)
 
-    tree_memo: dict[tuple[object, int], bool] = {}
+    tree_memo: dict[tuple[int, int], bool] = {}
 
-    def tree_embeds(u, w: int) -> bool:
+    def tree_embeds(u: int, w: int) -> bool:
         key = (u, w)
         cached = tree_memo.get(key)
         if cached is not None:
             return cached
-        gus = g_children[u]
+        gus = g_children.get(u, ())
         dws = dyn_children.get(w, ())
         result = len(gus) <= len(dws) and _kuhn_match(gus, list(dws), tree_embeds)
         tree_memo[key] = result
         return result
 
-    def component_embeds(g_cycle: list, dyn_cycle: tuple[int, ...]) -> bool:
+    def component_embeds(g_cycle: tuple[int, ...], dyn_cycle: tuple[int, ...]) -> bool:
         length = len(g_cycle)
         if length != len(dyn_cycle):
             return False

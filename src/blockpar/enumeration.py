@@ -277,9 +277,9 @@ def class_count(n: int, kind: str, workers: int = 1) -> int:
     Sharded totals are identical to sequential ones; workers only split the
     outer loop over partitions.
     """
-    if workers <= 1:
-        return sum(1 for _ in enum_class(n, kind))
     tasks = [(n, kind, p.parts) for p in _supports(n, kind, None)]
+    if workers <= 1:
+        return sum(map(_count_shard, tasks))
     with multiprocessing.Pool(workers) as pool:
         return sum(pool.imap(_count_shard, tasks))
 

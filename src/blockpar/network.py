@@ -4,6 +4,11 @@ A network is ``n`` local functions, one per automaton, each an expression
 tree over the variables ``x0..x(n-1)``.  Configurations are plain integers:
 bit ``i`` of the integer is the state of automaton ``i``.  In the textual
 form a configuration is a bitstring whose *leftmost* character is automaton 0.
+
+One walk, ``render(spelling)``, writes an expression as network text, as a
+scalar lambda body and as a bit-plane lambda body, with the fewest
+parentheses: Python ranks ``|``, ``^``, ``&`` as the network text does, so
+long chains compile.  Text nested past the recursion limit is a syntax error.
 """
 
 from __future__ import annotations
@@ -15,8 +20,33 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import NetworkSyntaxError
 
-# Printing precedences, loosest to tightest.
+# Precedences, loosest to tightest; Python ranks ``|``, ``^``, ``&`` alike.
 _PREC_OR, _PREC_XOR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+@dataclass(frozen=True)
+class Spelling:
+    """How ``render`` writes a variable index, the constant 1 and a negated
+    operand; the negation binds as tightly as ``negation_precedence``."""
+
+    var: str
+    one: str
+    negation: str
+    negation_precedence: int
+
+
+#: The network text format.
+TEXT = Spelling("x{}", "1", "!{}", _PREC_NOT)
+#: A Python expression over the configuration integer ``x``.
+SCALAR = Spelling("(x>>{}&1)", "1", "{} ^ 1", _PREC_XOR)
+#: A Python expression over the bit-planes ``p`` and the all-lanes mask ``m``.
+PLANE = Spelling("p[{}]", "m", "{} ^ m", _PREC_XOR)
+
+
+def _precedence(expr: "Expr", spelling: Spelling) -> int:
+    if isinstance(expr, Not):
+        return spelling.negation_precedence
+    return expr.precedence
 
 
 @dataclass(frozen=True)
@@ -28,14 +58,8 @@ class Var:
     def evaluate(self, x: int) -> int:
         return (x >> self.index) & 1
 
-    def source(self) -> str:
-        return f"(x>>{self.index}&1)"
-
-    def plane_source(self) -> str:
-        return f"p[{self.index}]"
-
-    def text(self) -> str:
-        return f"x{self.index}"
+    def render(self, spelling: Spelling) -> str:
+        return spelling.var.format(self.index)
 
     def variables(self) -> frozenset[int]:
         return frozenset((self.index,))
@@ -50,14 +74,8 @@ class Const:
     def evaluate(self, x: int) -> int:
         return self.value
 
-    def source(self) -> str:
-        return str(self.value)
-
-    def plane_source(self) -> str:
-        return "m" if self.value else "0"
-
-    def text(self) -> str:
-        return str(self.value)
+    def render(self, spelling: Spelling) -> str:
+        return spelling.one if self.value else "0"
 
     def variables(self) -> frozenset[int]:
         return frozenset()
@@ -67,22 +85,14 @@ class Const:
 class Not:
     operand: "Expr"
 
-    precedence = _PREC_NOT
-
     def evaluate(self, x: int) -> int:
         return self.operand.evaluate(x) ^ 1
 
-    def source(self) -> str:
-        return f"({self.operand.source()}^1)"
-
-    def plane_source(self) -> str:
-        return f"({self.operand.plane_source()}^m)"
-
-    def text(self) -> str:
-        inner = self.operand.text()
-        if self.operand.precedence < _PREC_NOT:
+    def render(self, spelling: Spelling) -> str:
+        inner = self.operand.render(spelling)
+        if _precedence(self.operand, spelling) < spelling.negation_precedence:
             inner = f"({inner})"
-        return f"!{inner}"
+        return spelling.negation.format(inner)
 
     def variables(self) -> frozenset[int]:
         return self.operand.variables()
@@ -93,20 +103,14 @@ class _Binary:
     symbol = "?"
     precedence = 0
 
-    def text(self) -> str:
-        left = self.left.text()
-        if self.left.precedence < self.precedence:
+    def render(self, spelling: Spelling) -> str:
+        left = self.left.render(spelling)
+        if _precedence(self.left, spelling) < self.precedence:
             left = f"({left})"
-        right = self.right.text()
-        if self.right.precedence <= self.precedence:
+        right = self.right.render(spelling)
+        if _precedence(self.right, spelling) <= self.precedence:
             right = f"({right})"
         return f"{left} {self.symbol} {right}"
-
-    def source(self) -> str:
-        return f"({self.left.source()}{self.symbol}{self.right.source()})"
-
-    def plane_source(self) -> str:
-        return f"({self.left.plane_source()}{self.symbol}{self.right.plane_source()})"
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -170,7 +174,11 @@ class BooleanNetwork:
         if self.n == 0:
             raise ValueError("a network needs at least one automaton")
         for i, expr in enumerate(self.locals):
-            bad = [v for v in expr.variables() if v >= self.n]
+            try:
+                used = expr.variables()
+            except RecursionError:
+                raise ValueError(f"local function {i} is nested too deeply") from None
+            bad = [v for v in used if v >= self.n]
             if bad:
                 raise ValueError(
                     f"local function {i} references x{min(bad)} but n={self.n}"
@@ -179,11 +187,9 @@ class BooleanNetwork:
         self._sliced = None
 
     def compiled(self) -> tuple[Callable[[int], int], ...]:
-        """Locals compiled to bitmask lambdas; built once, cached."""
+        """Locals compiled to bitmask lambdas ``(x)``; built once, cached."""
         if self._compiled is None:
-            self._compiled = tuple(
-                eval(f"lambda x: {expr.source()}") for expr in self.locals
-            )
+            self._compiled = self._lambdas("x", SCALAR)
         return self._compiled
 
     def sliced(self) -> tuple[Callable[[list[int], int], int], ...]:
@@ -193,10 +199,15 @@ class BooleanNetwork:
         configuration of a batch; ``m`` has every lane set.
         """
         if self._sliced is None:
-            self._sliced = tuple(
-                eval(f"lambda p, m: {expr.plane_source()}") for expr in self.locals
-            )
+            self._sliced = self._lambdas("p, m", PLANE)
         return self._sliced
+
+    def _lambdas(self, params: str, spelling: Spelling) -> tuple[Callable, ...]:
+        try:
+            return tuple(eval(f"lambda {params}: {expr.render(spelling)}")
+                         for expr in self.locals)
+        except RecursionError:
+            raise ValueError("a local function is nested too deeply to compile") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanNetwork):
@@ -372,8 +383,9 @@ def parse_network(text: str) -> BooleanNetwork:
     """
     assignments: dict[int, Expr] = {}
     assignment_lines: dict[int, int] = {}
+    # The largest index on each assignment's line, target included.
+    highest: dict[int, int] = {}
     declared_n: Optional[int] = None
-    max_index = -1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -405,22 +417,23 @@ def parse_network(text: str) -> BooleanNetwork:
                 f" (first assigned on line {assignment_lines[target]})",
                 lineno, tokens[0][2],
             )
-        expr = _ExprParser(tokens[2:], lineno, len(line)).parse()
+        try:
+            expr = _ExprParser(tokens[2:], lineno, len(line)).parse()
+            highest[target] = max(expr.variables() | {target})
+        except RecursionError:
+            raise NetworkSyntaxError("expression nested too deeply", lineno) from None
         assignments[target] = expr
         assignment_lines[target] = lineno
-        max_index = max(max_index, target, *(expr.variables() or (-1,)))
 
+    max_index = max(highest.values(), default=-1)
     if declared_n is None and max_index < 0:
         raise NetworkSyntaxError("network text contains no assignments and no header")
     n = declared_n if declared_n is not None else max_index + 1
     if max_index >= n:
-        offenders = sorted(
-            i for i, e in assignments.items()
-            if i >= n or any(v >= n for v in e.variables())
-        )
-        where = assignment_lines[offenders[0]]
+        first = min(i for i, top in highest.items() if top >= n)
         raise NetworkSyntaxError(
-            f"index x{max_index} out of range for declared n={n}", where, 1
+            f"index x{max_index} out of range for declared n={n}",
+            assignment_lines[first], 1,
         )
     locals_ = [assignments.get(i, Var(i)) for i in range(n)]
     return BooleanNetwork(locals_)
@@ -429,7 +442,7 @@ def parse_network(text: str) -> BooleanNetwork:
 def serialize_network(f: BooleanNetwork) -> str:
     """Canonical text for a network: explicit header and every assignment."""
     lines = [f"n={f.n}"]
-    lines.extend(f"x{i} = {expr.text()}" for i, expr in enumerate(f.locals))
+    lines.extend(f"x{i} = {expr.render(TEXT)}" for i, expr in enumerate(f.locals))
     return "\n".join(lines) + "\n"
 
 

@@ -262,6 +262,8 @@ def parse_schedule(text: str, n: Optional[int] = None) -> PartitionedOrder:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScheduleFormatError("invalid JSON: arrays nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise ScheduleFormatError("schedule must be a non-empty array of o-blocks")
     seen: dict[int, tuple[int, int]] = {}

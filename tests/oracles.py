@@ -131,3 +131,50 @@ def format_config_bits(x: int, n: int) -> str:
 def schedule_json(oblocks) -> str:
     """Schedule text through ``json.dumps``, o-blocks in the order given."""
     return json.dumps([list(block) for block in oblocks], separators=(",", ":"))
+
+
+_SYMBOLS = {"And": "&", "Or": "|", "Xor": "^"}
+
+
+def full_source(expr, var: str, one: str) -> str:
+    """An expression as Python with every negation and binary node in its own
+    parentheses: ``var.format(i)`` for a variable, ``one`` for the constant 1,
+    and negation as ``^ one``."""
+    kind = type(expr).__name__
+    if kind == "Var":
+        return var.format(expr.index)
+    if kind == "Const":
+        return one if expr.value else "0"
+    if kind == "Not":
+        return f"({full_source(expr.operand, var, one)}^{one})"
+    left = full_source(expr.left, var, one)
+    right = full_source(expr.right, var, one)
+    return f"({left}{_SYMBOLS[kind]}{right})"
+
+
+def orbit_decomposition(successors) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Cycles, in order of the first vertex reaching each, and the index of
+    the cycle each vertex reaches; every orbit is followed until it repeats."""
+    cycles: list[tuple[int, ...]] = []
+    basin = []
+    for x in range(len(successors)):
+        orbit = [x]
+        while successors[orbit[-1]] not in orbit:
+            orbit.append(successors[orbit[-1]])
+        members = orbit[orbit.index(successors[orbit[-1]]):]
+        cycle = rotation_key(tuple(members))
+        if cycle not in cycles:
+            cycles.append(cycle)
+        basin.append(cycles.index(cycle))
+    return cycles, basin
+
+
+def embeds_injectively(pattern: dict, successors) -> bool:
+    """Is there an injective map ``h`` from the pattern's vertices into the
+    configurations with ``h(pattern[v]) == successors[h(v)]`` for every ``v``?"""
+    vertices = list(pattern)
+    for image in permutations(range(len(successors)), len(vertices)):
+        h = dict(zip(vertices, image))
+        if all(h[pattern[v]] == successors[h[v]] for v in vertices):
+            return True
+    return False
