@@ -318,7 +318,10 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
               cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
     """Does the orbit of ``x`` reach ``y``?  At most ``DEFAULT_REACH_STEP_CAP``
     steps."""
+    _require_compatible(f, mu)
+    _check_config(x, f.n)
     _check_config(y, f.n)
+    _check_substeps(mu, cap)
     step_cap = DEFAULT_REACH_STEP_CAP
     seen: set[int] = set()
     cur = x
@@ -571,30 +574,33 @@ def counter_value(bundle: GadgetBundle, x: int) -> int:
 # ---------------------------------------------------------------------------
 # Exports
 
+def _names(graph: DynamicsGraph) -> list[str]:
+    """The bitstring of every configuration, indexed by configuration."""
+    return [format_config(x, graph.n) for x in range(len(graph.successors))]
+
+
 def to_dot(graph: DynamicsGraph) -> str:
     """DOT digraph: one node per configuration bitstring, one arc per successor."""
+    names = _names(graph)
     lines = ["digraph dynamics {"]
-    for x, s in enumerate(graph.successors):
-        lines.append(
-            f'  "{format_config(x, graph.n)}" -> "{format_config(s, graph.n)}";'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(
+        f'  "{names[x]}" -> "{names[s]}";' for x, s in enumerate(graph.successors)
+    )
+    # The final newline is joined in, so the text is not copied once more.
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def graph_json(graph: DynamicsGraph) -> dict:
     """JSON-ready edge list with a cycles summary."""
-    n = graph.n
+    names = _names(graph)
     return {
-        "n": n,
-        "edges": [
-            [format_config(x, n), format_config(s, n)]
-            for x, s in enumerate(graph.successors)
-        ],
+        "n": graph.n,
+        "edges": [[names[x], names[s]] for x, s in enumerate(graph.successors)],
         "cycles": {
             "lengths": [len(c) for c in sorted(graph.cycles, key=len)],
             "members": [
-                [format_config(x, n) for x in cycle]
+                [names[x] for x in cycle]
                 for cycle in sorted(graph.cycles, key=len)
             ],
         },

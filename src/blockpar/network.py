@@ -5,17 +5,23 @@ tree over the variables ``x0..x(n-1)``.  Configurations are plain integers:
 bit ``i`` of the integer is the state of automaton ``i``.  In the textual
 form a configuration is a bitstring whose *leftmost* character is automaton 0.
 
-One walk, ``render(spelling)``, writes an expression as network text, as a
-scalar lambda body and as a bit-plane lambda body, with the fewest
-parentheses: Python ranks ``|``, ``^``, ``&`` as the network text does, so
-long chains compile.  Text nested past the recursion limit is a syntax error.
+``&``, ``|`` and ``^`` are n-ary chain nodes: ``a & b & c`` is one ``And``
+with three operands, so a long chain is a flat tuple that parses, compares,
+hashes and pickles at any length.  One walk, ``render(spelling)``, writes an
+expression as network text, as a scalar lambda body and as a bit-plane lambda
+body, with the fewest parentheses: Python ranks ``|``, ``^``, ``&`` as the
+network text does, so chains of about 2,000 terms compile; CPython nests a
+longer one too deeply to compile.  Text nested past the recursion limit, such
+as deep parentheses, is a syntax error.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import NetworkSyntaxError
@@ -43,10 +49,11 @@ SCALAR = Spelling("(x>>{}&1)", "1", "{} ^ 1", _PREC_XOR)
 PLANE = Spelling("p[{}]", "m", "{} ^ m", _PREC_XOR)
 
 
-def _precedence(expr: "Expr", spelling: Spelling) -> int:
-    if isinstance(expr, Not):
-        return spelling.negation_precedence
-    return expr.precedence
+def _operand(expr: "Expr", spelling: Spelling, bound: int) -> str:
+    """``expr`` rendered, parenthesised if it binds looser than ``bound``."""
+    text = expr.render(spelling)
+    precedence = spelling.negation_precedence if isinstance(expr, Not) else expr.precedence
+    return f"({text})" if precedence < bound else text
 
 
 @dataclass(frozen=True)
@@ -89,78 +96,68 @@ class Not:
         return self.operand.evaluate(x) ^ 1
 
     def render(self, spelling: Spelling) -> str:
-        inner = self.operand.render(spelling)
-        if _precedence(self.operand, spelling) < spelling.negation_precedence:
-            inner = f"({inner})"
-        return spelling.negation.format(inner)
+        return spelling.negation.format(
+            _operand(self.operand, spelling, spelling.negation_precedence))
 
     def variables(self) -> frozenset[int]:
         return self.operand.variables()
 
 
-class _Binary:
-    __slots__ = ()
-    symbol = "?"
-    precedence = 0
+@dataclass(frozen=True, init=False)
+class _Chain:
+    """``operands`` joined left to right by one operator.
+
+    A first operand of the same kind is absorbed, so ``And(And(a, b), c)`` is
+    ``And(a, b, c)``; a later one stays its own node, as in ``a & (b & c)``.
+    """
+
+    operands: tuple
+
+    def __init__(self, first: "Expr", second: "Expr", *rest: "Expr"):
+        head = first.operands if type(first) is type(self) else (first,)
+        object.__setattr__(self, "operands", (*head, second, *rest))
+
+    def evaluate(self, x: int) -> int:
+        return reduce(self.op, (e.evaluate(x) for e in self.operands))
 
     def render(self, spelling: Spelling) -> str:
-        left = self.left.render(spelling)
-        if _precedence(self.left, spelling) < self.precedence:
-            left = f"({left})"
-        right = self.right.render(spelling)
-        if _precedence(self.right, spelling) <= self.precedence:
-            right = f"({right})"
-        return f"{left} {self.symbol} {right}"
+        # A later operand of the same precedence keeps its parentheses.
+        first, *rest = self.operands
+        parts = [_operand(first, spelling, self.precedence)]
+        parts.extend(_operand(e, spelling, self.precedence + 1) for e in rest)
+        return f" {self.symbol} ".join(parts)
 
     def variables(self) -> frozenset[int]:
-        return self.left.variables() | self.right.variables()
+        return frozenset().union(*(e.variables() for e in self.operands))
 
 
-@dataclass(frozen=True)
-class And(_Binary):
-    left: "Expr"
-    right: "Expr"
-
+class And(_Chain):
     symbol = "&"
     precedence = _PREC_AND
-
-    def evaluate(self, x: int) -> int:
-        return self.left.evaluate(x) & self.right.evaluate(x)
+    op = operator.and_
 
 
-@dataclass(frozen=True)
-class Or(_Binary):
-    left: "Expr"
-    right: "Expr"
-
+class Or(_Chain):
     symbol = "|"
     precedence = _PREC_OR
-
-    def evaluate(self, x: int) -> int:
-        return self.left.evaluate(x) | self.right.evaluate(x)
+    op = operator.or_
 
 
-@dataclass(frozen=True)
-class Xor(_Binary):
-    left: "Expr"
-    right: "Expr"
-
+class Xor(_Chain):
     symbol = "^"
     precedence = _PREC_XOR
-
-    def evaluate(self, x: int) -> int:
-        return self.left.evaluate(x) ^ self.right.evaluate(x)
+    op = operator.xor
 
 
 Expr = Union[Var, Const, Not, And, Or, Xor]
 
 
 def and_chain(exprs: Iterable[Expr]) -> Expr:
-    """Left-assoc conjunction of ``exprs``; the empty chain is constant 1."""
-    result: Optional[Expr] = None
-    for e in exprs:
-        result = e if result is None else And(result, e)
-    return Const(1) if result is None else result
+    """Conjunction of ``exprs`` as one node; the empty chain is constant 1."""
+    exprs = tuple(exprs)
+    if len(exprs) < 2:
+        return exprs[0] if exprs else Const(1)
+    return And(*exprs)
 
 
 class BooleanNetwork:
@@ -297,6 +294,10 @@ def _tokenize(line: str, lineno: int) -> list[tuple[str, object, int]]:
     return tokens
 
 
+#: The chain operators, loosest first; ``!`` binds tighter than all of them.
+_CHAINS = (Or, Xor, And)
+
+
 class _ExprParser:
     """Recursive descent over one line of tokens; ``|`` loosest, ``!`` tightest."""
 
@@ -322,28 +323,19 @@ class _ExprParser:
         return False
 
     def parse(self) -> Expr:
-        expr = self._or()
+        expr = self._chain()
         if self._peek() is not None:
             self._fail(f"unexpected {self._peek()[1]!r} after expression")
         return expr
 
-    def _or(self) -> Expr:
-        expr = self._xor()
-        while self._accept("|"):
-            expr = Or(expr, self._xor())
-        return expr
-
-    def _xor(self) -> Expr:
-        expr = self._and()
-        while self._accept("^"):
-            expr = Xor(expr, self._and())
-        return expr
-
-    def _and(self) -> Expr:
-        expr = self._unary()
-        while self._accept("&"):
-            expr = And(expr, self._unary())
-        return expr
+    def _chain(self, level: int = 0) -> Expr:
+        """Operands one level tighter, joined by ``_CHAINS[level].symbol``."""
+        kind = _CHAINS[level]
+        innermost = level + 1 == len(_CHAINS)
+        operands = []
+        while not operands or self._accept(kind.symbol):
+            operands.append(self._unary() if innermost else self._chain(level + 1))
+        return kind(*operands) if len(operands) > 1 else operands[0]
 
     def _unary(self) -> Expr:
         if self._accept("!"):
@@ -363,7 +355,7 @@ class _ExprParser:
             return Const(value)
         if kind == "(":
             self.pos += 1
-            expr = self._or()
+            expr = self._chain()
             if not self._accept(")"):
                 self._fail("expected ')'")
             return expr

@@ -137,9 +137,9 @@ _SYMBOLS = {"And": "&", "Or": "|", "Xor": "^"}
 
 
 def full_source(expr, var: str, one: str) -> str:
-    """An expression as Python with every negation and binary node in its own
-    parentheses: ``var.format(i)`` for a variable, ``one`` for the constant 1,
-    and negation as ``^ one``."""
+    """An expression as Python with every negation and every binary operation
+    in its own parentheses, a chain folded left to right: ``var.format(i)``
+    for a variable, ``one`` for the constant 1, and negation as ``^ one``."""
     kind = type(expr).__name__
     if kind == "Var":
         return var.format(expr.index)
@@ -147,9 +147,10 @@ def full_source(expr, var: str, one: str) -> str:
         return one if expr.value else "0"
     if kind == "Not":
         return f"({full_source(expr.operand, var, one)}^{one})"
-    left = full_source(expr.left, var, one)
-    right = full_source(expr.right, var, one)
-    return f"({left}{_SYMBOLS[kind]}{right})"
+    source, *rest = (full_source(e, var, one) for e in expr.operands)
+    for operand in rest:
+        source = f"({source}{_SYMBOLS[kind]}{operand})"
+    return source
 
 
 def orbit_decomposition(successors) -> tuple[list[tuple[int, ...]], list[int]]:

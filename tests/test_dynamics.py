@@ -229,6 +229,17 @@ class TestReachable:
         target = parse_config("0000011")
         assert reachable(bundle.network, bundle.schedule, parse_config("0101010"), target)
 
+    def test_validates_before_comparing_the_configurations(self):
+        with pytest.raises(ValueError, match="network has 2 automata but schedule has 3"):
+            reachable(identity_network(2), PAR3, 0, 0)
+        with pytest.raises(ValueError, match="configuration 8 out of range"):
+            reachable(DEMO_NET, DEMO_MU, 8, 8)
+
+    def test_substep_cap_applies_when_the_configurations_are_equal(self):
+        mu = PartitionedOrder(5, [(0, 1), (2, 3, 4)])
+        with pytest.raises(ResourceCapError):
+            reachable(identity_network(5), mu, 0, 0, cap=5)
+
 
 class TestPreimage:
     def test_bijective_unique_preimages(self):

@@ -200,6 +200,17 @@ def test_and_chain():
     assert and_chain([Var(0), Var(1), Var(2)]) == And(And(Var(0), Var(1)), Var(2))
 
 
+def test_chain_absorbs_only_a_first_operand_of_its_own_kind():
+    a, b, c = Var(0), Var(1), Var(2)
+    assert And(And(a, b), c) == And(a, b, c)
+    assert And(And(a, b), c).operands == (a, b, c)
+    assert And(a, And(b, c)) != And(a, b, c)
+    assert And(Or(a, b), c).operands == (Or(a, b), c)
+    assert Xor(a, b) != Or(a, b)
+    assert parse_network("x0 = (x0 & x1) & x2\n") == parse_network("x0 = x0 & x1 & x2\n")
+    assert parse_network("x0 = x0 & (x1 & x2)\n").locals[0] == And(a, And(b, c))
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         BooleanNetwork([Var(1)])
