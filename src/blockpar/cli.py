@@ -17,8 +17,8 @@ import sys
 import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import islice
-from typing import Iterator, Optional, TextIO
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, TextIO
 
 from . import counting, dynamics, enumeration
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
@@ -32,6 +32,12 @@ EXIT_MISSING_FILE = 3
 EXIT_BAD_INPUT = 4
 EXIT_RESOURCE_CAP = 5
 EXIT_INTERNAL = 6
+
+#: Pieces joined into one ``write`` call by :func:`_write_chunks`.  Under
+#: ``PYTHONUNBUFFERED=1`` every ``write`` is a system call, so writing line
+#: by line costs one call per line; a chunk bounds both the calls and the
+#: memory held.
+WRITE_CHUNK = 1024
 
 #: Single-run timings (seconds) reported for an earlier pure-Python
 #: implementation of the same enumerations on a 2.80 GHz laptop; shown in
@@ -97,6 +103,23 @@ def _out_stream(args) -> Iterator[TextIO]:
         yield sys.stdout
 
 
+def _write_chunks(stream: TextIO, pieces: Iterable[str], end: str = "") -> int:
+    """Write ``pieces``, each followed by ``end``, joining up to
+    ``WRITE_CHUNK`` of them into one ``write``; return how many were written."""
+    pieces = iter(pieces)
+    written = 0
+    while chunk := list(islice(pieces, WRITE_CHUNK)):
+        stream.write(end.join(chunk) + end)
+        written += len(chunk)
+    return written
+
+
+def _write_json(stream: TextIO, document) -> None:
+    """``document`` as indented JSON and a newline, streamed in chunks."""
+    encoder = json.JSONEncoder(indent=2)
+    _write_chunks(stream, chain(encoder.iterencode(document), ["\n"]))
+
+
 def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
@@ -138,12 +161,10 @@ def _write_table(args, header: tuple[str, ...], rows: list[tuple]) -> None:
     """
     with _out_stream(args) as stream:
         if args.format == "json":
-            json.dump([dict(zip(header, row)) for row in rows], stream, indent=2)
-            stream.write("\n")
+            _write_json(stream, [dict(zip(header, row)) for row in rows])
         else:
-            stream.write(",".join(header) + "\n")
-            for row in rows:
-                stream.write(",".join("" if v is None else str(v) for v in row) + "\n")
+            lines = (",".join("" if v is None else str(v) for v in row) for row in rows)
+            _write_chunks(stream, chain([",".join(header)], lines), "\n")
 
 
 def cmd_count(args) -> dict:
@@ -166,13 +187,10 @@ def cmd_enum(args) -> dict:
         lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
     else:
         lines = enumeration.class_lines(args.n, args.klass, partition)
-    emitted = 0
     # Closing the stream at once ends a --threads pool even when the reader
     # has gone away mid-stream.
     with _out_stream(args) as stream, closing(lines):
-        for line in islice(lines, args.limit):
-            stream.write(line + "\n")
-            emitted += 1
+        emitted = _write_chunks(stream, islice(lines, args.limit), "\n")
     print(f"count={emitted}", file=sys.stderr)
     return {"count": emitted}
 
@@ -191,8 +209,7 @@ def cmd_trace(args) -> dict:
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
     trace = dynamics.step_trace(f, mu, x, cap=args.cap_substeps)
-    for configuration in trace:
-        print(format_config(configuration, f.n))
+    _write_chunks(sys.stdout, (format_config(c, f.n) for c in trace), "\n")
     return {"substeps": len(trace) - 1, "image": format_config(trace[-1], f.n)}
 
 
@@ -204,10 +221,9 @@ def cmd_dynamics(args) -> dict:
     )
     with _out_stream(args) as stream:
         if args.format == "dot":
-            stream.write(dynamics.to_dot(graph))
+            _write_chunks(stream, dynamics.dot_lines(graph), "\n")
         else:
-            json.dump(dynamics.graph_json(graph), stream, indent=2)
-            stream.write("\n")
+            _write_json(stream, dynamics.graph_json(graph))
     return {"cycles": list(graph.cycle_lengths())}
 
 
@@ -298,12 +314,7 @@ def cmd_gadget(args) -> dict:
         print(schedule_path)
         summary["files"] = [network_path, schedule_path]
     else:
-        json.dump(
-            {"network": network_text, "schedule": schedule_text, **summary},
-            sys.stdout,
-            indent=2,
-        )
-        print()
+        _write_json(sys.stdout, {"network": network_text, "schedule": schedule_text, **summary})
     return summary
 
 

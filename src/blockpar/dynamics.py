@@ -579,16 +579,19 @@ def _names(graph: DynamicsGraph) -> list[str]:
     return [format_config(x, graph.n) for x in range(len(graph.successors))]
 
 
+def dot_lines(graph: DynamicsGraph) -> Iterator[str]:
+    """The lines of :func:`to_dot`, without newlines, lazily."""
+    names = _names(graph)
+    yield "digraph dynamics {"
+    for x, s in enumerate(graph.successors):
+        yield f'  "{names[x]}" -> "{names[s]}";'
+    yield "}"
+
+
 def to_dot(graph: DynamicsGraph) -> str:
     """DOT digraph: one node per configuration bitstring, one arc per successor."""
-    names = _names(graph)
-    lines = ["digraph dynamics {"]
-    lines.extend(
-        f'  "{names[x]}" -> "{names[s]}";' for x, s in enumerate(graph.successors)
-    )
     # The final newline is joined in, so the text is not copied once more.
-    lines.append("}\n")
-    return "\n".join(lines)
+    return "\n".join([*dot_lines(graph), ""])
 
 
 def graph_json(graph: DynamicsGraph) -> dict:

@@ -17,12 +17,18 @@ Both column classes share one filler: ``bp0`` is the ``bpstar`` filler with
 every budget ``a[j] = j``, which leaves the minimum free.
 
 Streams are lazy single-consumer generators with a deterministic order for a
-fixed ``n`` and class.  One recursion walks the fillings and renders each one
-once, per content choice or per subtree; a schedule is the concatenation of
-one piece per matrix, smallest part size first, which is the canonical
-o-block order.  :func:`enum_class` renders a filling as its sorted rows and
-wraps them in a :class:`PartitionedOrder`; :func:`class_lines` renders it
-as its piece of the schedule text, so each line is already
+fixed ``n`` and class.  A schedule is the concatenation of one piece per
+matrix, smallest part size first, which is the canonical o-block order.
+Fillings commute with increasing relabelling: the fillings of a content
+``chosen`` are those of the matrix indices ``0 .. j*m - 1`` with index ``k``
+read as ``chosen[k]``.  So one recursion fills each matrix once per
+partition, over its indices, and keeps the rendered fillings as templates;
+each content choice then costs one relabel per filling and no filling
+recursion.  Matrices with too many fillings to hold, and a partition's only
+part size, stream their fillings instead.  :func:`enum_class` renders a
+filling as its sorted rows and wraps them in a :class:`PartitionedOrder`;
+:func:`class_lines` renders it as its piece of the schedule text, a
+``str.format`` template when it is relabelled, so each line is already
 ``serialize_schedule(mu)``.  :func:`sharded_lines` spreads the partitions of
 ``n`` over a process pool, at most ``workers`` partitions in flight.
 """
@@ -33,7 +39,8 @@ import multiprocessing
 from collections import deque
 from itertools import combinations, filterfalse, islice, permutations
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterable, Iterator, Optional
+from operator import methodcaller
+from typing import Iterable, Iterator, Optional
 
 from .partitions import Partition, partitions_of
 from .schedule import PartitionedOrder, format_oblocks
@@ -43,8 +50,8 @@ CLASS_BP0 = "bp0"
 CLASS_BP_STAR = "bpstar"
 CLASSES = (CLASS_BP, CLASS_BP0, CLASS_BP_STAR)
 
-#: Largest per-matrix filling list worth materialising; bigger matrices fall
-#: back to fully lazy nesting so early stream consumers never stall.
+#: Most fillings of one matrix held as templates; bigger matrices fall back
+#: to fully lazy nesting so early stream consumers never stall.
 _MATERIALIZE_LIMIT = 1 << 17
 
 
@@ -145,10 +152,26 @@ def _fill_count(kind: str, j: int, m: int, budget: int) -> int:
     return total * budget // j
 
 
+class _Field(int):
+    """Matrix index ``k`` standing in for the matrix's ``k``-th smallest
+    member: it orders as ``k`` and prints as the ``str.format`` field
+    ``{k}``, so a filling of fields renders to a text template."""
+
+    def __str__(self) -> str:
+        return f"{{{int(self)}}}"
+
+
 def _rows_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool
                ) -> tuple[tuple[int, ...], ...]:
     """A matrix filling as its o-blocks in canonical order."""
     return tuple(sorted(rows))
+
+
+def _rows_relabel(templates: Iterable[tuple[tuple[int, ...], ...]],
+                  labels: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each template's rows with field ``k`` replaced by ``labels[k]``, lazily."""
+    get = labels.__getitem__
+    return (tuple([tuple(map(get, row)) for row in rows]) for rows in templates)
 
 
 def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) -> str:
@@ -156,53 +179,77 @@ def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) ->
     return format_oblocks(sorted(rows), opens, closes)
 
 
-def _partition_stream(n: int, p: Partition, kind: str, render: Callable) -> Iterator:
+def _text_relabel(templates: Iterable[str], labels: tuple[int, ...]) -> Iterator[str]:
+    """Each text template with field ``{k}`` filled by ``labels[k]``, lazily."""
+    return map(methodcaller("format", *labels), templates)
+
+
+#: A renderer is a pair: ``render(rows, opens, closes)`` renders one matrix
+#: filling to its piece, and ``relabel(templates, labels)`` turns the pieces
+#: rendered from fillings of :class:`_Field` indices into the pieces of the
+#: matrix whose ``k``-th smallest member is ``labels[k]``.
+_ROWS = (_rows_piece, _rows_relabel)
+_TEXT = (_text_piece, _text_relabel)
+
+
+def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Iterator:
     """Every schedule of class ``kind`` with support ``p``, each the
-    concatenation of one ``render(rows, opens, closes)`` piece per matrix.
+    concatenation of one piece per matrix, rendered by ``renderer``.
 
     Pieces are concatenated smallest part size first, which is the canonical
     o-block order; ``opens`` marks the first piece and ``closes`` the last.
-    Each filling is rendered once: per content choice for materialised
-    matrices, else once per subtree below it.
+
+    A matrix with at most ``_MATERIALIZE_LIMIT`` fillings is filled once per
+    partition, over :class:`_Field` indices, and each content choice
+    relabels those templates.  Above the last matrix, the relabelled pieces
+    are listed per content choice, so the subtree below is walked once per
+    choice, not once per filling; the last matrix is relabelled lazily.  A
+    matrix with more fillings, or filled only once because it is ``p``'s only
+    part size, streams its fillings.
     """
+    render, relabel = renderer
     sizes = [(j, p.m(j)) for j in p.part_sizes()]
     if kind == CLASS_BP_STAR:
         budgets = min_column_budgets(p)
     else:
         budgets = {j: j for j, _ in sizes}
+    last = len(sizes) - 1
 
     def fillings(elements, j, m):
         if kind == CLASS_BP:
             return _fill_rows(elements, j, m)
         return _fill_columns_shifted(elements, j, m, budgets[j])
 
-    last = len(sizes) - 1
-    small_enough = [
-        _fill_count(kind, j, m, budgets[j]) <= _MATERIALIZE_LIMIT
-        for j, m in sizes
+    templates = [
+        [render(rows, idx == last, idx == 0)
+         for rows in fillings(tuple(map(_Field, range(j * m))), j, m)]
+        if last > 0 and _fill_count(kind, j, m, budgets[j]) <= _MATERIALIZE_LIMIT
+        else None
+        for idx, (j, m) in enumerate(sizes)
     ]
 
     def rec(remaining: tuple[int, ...], idx: int) -> Iterator:
         j, m = sizes[idx]
         closes = idx == 0
         if idx == last:
-            for rows in fillings(remaining, j, m):
-                yield render(rows, True, closes)
+            if templates[idx] is None:
+                for rows in fillings(remaining, j, m):
+                    yield render(rows, True, closes)
+            else:
+                yield from relabel(templates[idx], remaining)
             return
         nxt = idx + 1
         for chosen in combinations(remaining, j * m):
             rest = _without(remaining, chosen)
-            if small_enough[idx]:
-                # Materialise this matrix's pieces so the subtree below is
-                # walked once per content choice, not once per filling.
-                pieces = [render(rows, False, closes) for rows in fillings(chosen, j, m)]
-                for tail in rec(rest, nxt):
-                    yield from map(tail.__add__, pieces)
-            else:
+            if templates[idx] is None:
                 for rows in fillings(chosen, j, m):
                     piece = render(rows, False, closes)
                     for tail in rec(rest, nxt):
                         yield tail + piece
+            else:
+                pieces = list(relabel(templates[idx], chosen))
+                for tail in rec(rest, nxt):
+                    yield from map(tail.__add__, pieces)
 
     return rec(tuple(range(n)), 0)
 
@@ -230,7 +277,7 @@ def enum_class(n: int, kind: str, partition: Optional[Partition] = None
     """
     from_rows = PartitionedOrder._from_rows
     for p in _supports(n, kind, partition):
-        for rows in _partition_stream(n, p, kind, _rows_piece):
+        for rows in _partition_stream(n, p, kind, _ROWS):
             yield from_rows(n, rows)
 
 
@@ -243,7 +290,7 @@ def class_lines(n: int, kind: str, partition: Optional[Partition] = None
     line is the concatenation of the text pieces of its matrices.
     """
     for p in _supports(n, kind, partition):
-        yield from _partition_stream(n, p, kind, _text_piece)
+        yield from _partition_stream(n, p, kind, _TEXT)
 
 
 def enum_bp(n: int, partition: Optional[Partition] = None) -> Iterator[PartitionedOrder]:
@@ -268,7 +315,7 @@ def enum_bp_star(n: int, partition: Optional[Partition] = None
 def _count_shard(task: tuple[int, str, tuple[int, ...]]) -> int:
     n, kind, parts = task
     p = Partition.from_parts(parts)
-    return sum(1 for _ in _partition_stream(n, p, kind, _rows_piece))
+    return sum(1 for _ in _partition_stream(n, p, kind, _ROWS))
 
 
 def class_count(n: int, kind: str, workers: int = 1) -> int:

@@ -200,11 +200,15 @@ class BooleanNetwork:
         return self._sliced
 
     def _lambdas(self, params: str, spelling: Spelling) -> tuple[Callable, ...]:
-        try:
-            return tuple(eval(f"lambda {params}: {expr.render(spelling)}")
-                         for expr in self.locals)
-        except RecursionError:
-            raise ValueError("a local function is nested too deeply to compile") from None
+        compiled = []
+        for i, expr in enumerate(self.locals):
+            try:
+                compiled.append(eval(f"lambda {params}: {expr.render(spelling)}"))
+            except RecursionError:
+                raise ValueError(
+                    f"a local function is nested too deeply to compile (local function {i})"
+                ) from None
+        return tuple(compiled)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanNetwork):

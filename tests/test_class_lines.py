@@ -1,6 +1,6 @@
 """The text stream of the enumerators: ``class_lines`` against ``enum_class``
-plus ``serialize_schedule``, the bounded ``--threads`` window, and the bytes
-``blockpar enum`` writes.
+plus ``serialize_schedule``, relabelled filling templates, the bounded
+``--threads`` window, and the bytes ``blockpar enum`` writes.
 
 The pinned digests were taken from the CLI before schedule lines were built
 from text pieces, when every line went through ``json.dumps``.
@@ -14,9 +14,12 @@ import pytest
 
 from blockpar import enumeration
 from blockpar.cli import EXIT_OK, main
+from blockpar.counting import count_bp, count_bp0, count_bp_star
 from blockpar.enumeration import CLASSES, class_lines, enum_class, sharded_lines
 from blockpar.partitions import Partition, partitions_of
-from blockpar.schedule import format_oblocks, parse_schedule, serialize_schedule
+from blockpar.schedule import (
+    PartitionedOrder, format_oblocks, parse_schedule, phi, serialize_schedule,
+)
 
 import oracles
 
@@ -63,6 +66,43 @@ def test_unmaterialised_matrices_give_the_same_members(kind, monkeypatch):
     assert lines == [serialize_schedule(mu) for mu in enum_class(6, kind)]
     assert lines != materialised
     assert sorted(lines) == sorted(materialised)
+
+
+@lru_cache(maxsize=None)
+def class_keys(n: int, kind: str) -> frozenset:
+    """What identifies a class member of ``kind``, over every partitioned
+    order on ``n`` automata: the order itself, its block sequence (dynamical
+    equality), or that sequence up to rotation (limit isomorphism)."""
+    orders = (PartitionedOrder._from_rows(n, o) for o in oracles.all_partitioned_orders(n))
+    return frozenset(member_key(mu, kind) for mu in orders)
+
+
+def member_key(mu: PartitionedOrder, kind: str):
+    if kind == "bp":
+        return mu.oblocks
+    if kind == "bp0":
+        return phi(mu).blocks
+    return oracles.rotation_key(phi(mu).blocks)
+
+
+COUNTS = {"bp": count_bp, "bp0": count_bp0, "bpstar": count_bp_star}
+
+
+@pytest.mark.parametrize("limit", [6, 90])
+@pytest.mark.parametrize("kind", CLASSES)
+def test_templates_mixed_with_streamed_matrices(kind, limit, monkeypatch):
+    # Under a small limit one partition mixes templated matrices, matrices
+    # that stream their fillings, and single-size partitions that stream.
+    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
+    for n in range(1, 8):
+        schedules = list(enum_class(n, kind))
+        assert list(class_lines(n, kind)) == [oracles.schedule_json(mu.oblocks)
+                                              for mu in schedules]
+        assert len(schedules) == COUNTS[kind](n)
+        assert {mu.oblocks for mu in schedules} <= oracles.all_partitioned_orders(n)
+        keys = [member_key(mu, kind) for mu in schedules]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == class_keys(n, kind)
 
 
 def test_class_lines_share_argument_checks():

@@ -1,9 +1,17 @@
+import hashlib
+import io
 import json
+from itertools import islice
 
 import pytest
 
-from blockpar.cli import EXIT_BAD_INPUT, EXIT_MISSING_FILE, EXIT_OK, EXIT_RESOURCE_CAP, main
-from blockpar.network import parse_network
+from blockpar import cli, dynamics
+from blockpar.cli import (
+    EXIT_BAD_INPUT, EXIT_MISSING_FILE, EXIT_OK, EXIT_RESOURCE_CAP, WRITE_CHUNK, main,
+)
+from blockpar.counting import count_bp
+from blockpar.enumeration import class_lines
+from blockpar.network import format_config, parse_network
 from blockpar.schedule import parse_schedule
 
 DEMO_NET = "x0 = x1\nx1 = !x0\nx2 = x0 & x2\n"
@@ -312,3 +320,102 @@ class TestBench:
         assert lines[0] == "class,n,count,median_s,reference_s,ratio"
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert counts == [1, 2, 6]
+
+
+class CountingStream(io.StringIO):
+    """An in-memory stdout that counts ``write`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def chunks(pieces: int) -> int:
+    return -(-pieces // WRITE_CHUNK)
+
+
+def counting_stdout(monkeypatch) -> CountingStream:
+    # Patched in the test body: output capture resets sys.stdout after
+    # fixture set-up.
+    stream = CountingStream()
+    monkeypatch.setattr(cli.sys, "stdout", stream)
+    return stream
+
+
+class TestChunkedWrites:
+    def test_enum_bp_8(self, monkeypatch, capsys):
+        stdout = counting_stdout(monkeypatch)
+        assert main(["enum", "8", "--class", "bp"]) == EXIT_OK
+        lines = count_bp(8)
+        assert stdout.writes <= chunks(lines) + 1
+        expected = hashlib.sha256()
+        for line in class_lines(8, "bp"):
+            expected.update(line.encode() + b"\n")
+        assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == expected.hexdigest()
+        assert capsys.readouterr().err == f"count={lines}\n"
+
+    @pytest.mark.parametrize("limit", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+    def test_limit_at_chunk_edges(self, monkeypatch, capsys, limit):
+        stdout = counting_stdout(monkeypatch)
+        assert main(["enum", "7", "--class", "bp", "--limit", str(limit)]) == EXIT_OK
+        assert stdout.getvalue().splitlines() == list(islice(class_lines(7, "bp"), limit))
+        assert stdout.getvalue().endswith("\n")
+        assert stdout.writes == chunks(limit)
+        assert capsys.readouterr().err == f"count={limit}\n"
+
+    def test_trace(self, monkeypatch, tmp_path):
+        # O-blocks of lengths 5, 7, 8 and 9: 2,520 substeps, one line each.
+        stdout = counting_stdout(monkeypatch)
+        network = tmp_path / "flip.bn"
+        network.write_text("n=29\nx0 = !x0\nx12 = x0 ^ x12\n")
+        blocks = [list(range(0, 5)), list(range(5, 12)), list(range(12, 20)),
+                  list(range(20, 29))]
+        schedule = json.dumps(blocks)
+        f = parse_network(network.read_text())
+        trace = dynamics.step_trace(f, parse_schedule(schedule, n=29), 0)
+        argv = ["trace", "--network", str(network), "--schedule", schedule,
+                "--config", "0" * 29]
+        assert main(argv) == EXIT_OK
+        assert len(trace) == 2521
+        assert stdout.getvalue() == "".join(format_config(x, 29) + "\n" for x in trace)
+        assert stdout.writes <= chunks(len(trace)) + 1
+
+    @pytest.fixture
+    def counter(self, tmp_path):
+        # An 11-bit counter: 2,048 configurations, one arc each.
+        lines = ["x0 = !x0"]
+        lines += [f"x{i} = x{i} ^ ({' & '.join(f'x{k}' for k in range(i))})"
+                  for i in range(1, 11)]
+        network = tmp_path / "counter.bn"
+        network.write_text("\n".join(lines) + "\n")
+        schedule = "[[" + ",".join(map(str, range(10, -1, -1))) + "]]"
+        graph = dynamics.transition_graph(parse_network(network.read_text()),
+                                          parse_schedule(schedule, n=11))
+        return ["--network", str(network), "--schedule", schedule], graph
+
+    def test_dynamics_json(self, monkeypatch, counter):
+        stdout = counting_stdout(monkeypatch)
+        argv, graph = counter
+        assert main(["dynamics", *argv, "--format", "json"]) == EXIT_OK
+        document = dynamics.graph_json(graph)
+        assert stdout.getvalue() == json.dumps(document, indent=2) + "\n"
+        pieces = len(list(json.JSONEncoder(indent=2).iterencode(document))) + 1
+        assert pieces > 2 * WRITE_CHUNK
+        assert stdout.writes <= chunks(pieces) + 1
+
+    def test_dynamics_dot(self, monkeypatch, counter):
+        stdout = counting_stdout(monkeypatch)
+        argv, graph = counter
+        assert main(["dynamics", *argv, "--format", "dot"]) == EXIT_OK
+        assert stdout.getvalue() == dynamics.to_dot(graph)
+        assert stdout.writes <= chunks(2048 + 2) + 1
+
+    def test_count_table(self, monkeypatch):
+        stdout = counting_stdout(monkeypatch)
+        assert main(["count", "24"]) == EXIT_OK
+        assert stdout.getvalue().count("\n") == 25
+        assert stdout.writes == 1

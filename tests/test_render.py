@@ -162,6 +162,7 @@ def _exits_bad_input(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_NETWORKS))
@@ -170,6 +171,16 @@ def test_deep_network_exits_bad_input(name, tmp_path, capsys):
     network.write_text(DEEP_NETWORKS[name])
     argv = ["step", "--network", str(network), "--schedule", "[[0],[1]]", "--config", "01"]
     _exits_bad_input(argv, capsys)
+
+
+def test_uncompilable_local_is_named(tmp_path, capsys):
+    network = tmp_path / "deep.bn"
+    network.write_text("n=6\nx5 = " + " & ".join(["x0"] * 3000) + "\n")
+    argv = ["step", "--network", str(network), "--schedule", "[[0],[1],[2],[3],[4],[5]]",
+            "--config", "000000"]
+    err = _exits_bad_input(argv, capsys)
+    assert "nested too deeply" in err
+    assert "local function 5" in err
 
 
 def test_deep_schedule_exits_bad_input(tmp_path, capsys):
