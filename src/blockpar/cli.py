@@ -18,7 +18,7 @@ import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import counting, dynamics, enumeration
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
@@ -120,16 +120,6 @@ def _write_json(stream: TextIO, document) -> None:
     _write_chunks(stream, chain(encoder.iterencode(document), ["\n"]))
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity set where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -137,18 +127,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    # Two processes are always allowed, so a command line runs on any host.
-    bound = max(2, _usable_cpus())
-    if value > bound:
-        raise argparse.ArgumentTypeError(
-            f"{value} exceeds the bound of {bound} (max of 2 and the usable CPUs)"
-        )
-    return value
+def _count_arg(low: int, cpu_bound: bool = False) -> Callable[[str], int]:
+    """The argparse type of a count option: an integer of at least ``low`` and,
+    with ``cpu_bound``, at most the larger of 2 and the usable CPUs (two
+    processes are always allowed, so a command line runs on any host)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            least = "must be positive" if low else "must not be negative"
+            raise argparse.ArgumentTypeError(f"{least}, got {value}")
+        if cpu_bound and value > (bound := max(2, _usable_cpus())):
+            raise argparse.ArgumentTypeError(
+                f"{value} exceeds the bound of {bound} (max of 2 and the usable CPUs)"
+            )
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +176,6 @@ def cmd_count(args) -> dict:
 
 def cmd_enum(args) -> dict:
     partition = Partition.parse(args.partition) if args.partition else None
-    if partition is not None and partition.n != args.n:
-        raise ScheduleFormatError(
-            f"--partition {args.partition} does not sum to n={args.n}"
-        )
     if args.threads > 1 and partition is None and args.limit is None:
         lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
     else:
@@ -361,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="stream one schedule per class member")
     p.add_argument("n", type=int)
     p.add_argument("--class", dest="klass", choices=enumeration.CLASSES, default="bp")
-    p.add_argument("--limit", type=_non_negative_int, default=None,
+    p.add_argument("--limit", type=_count_arg(0), default=None,
                    help="stop after this many schedules")
     p.add_argument("--partition", help='restrict to one support, e.g. "2+2+3"')
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_count_arg(1, cpu_bound=True), default=1)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_enum)
 
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="full transition graph with cycle summary")
     add_simulation_args(p, config=False)
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_count_arg(1, cpu_bound=True), default=1)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_dynamics)
 
@@ -410,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="enumeration timings next to reference timings")
     p.add_argument("n_max", type=int)
     p.add_argument("--classes", default="bp,bp0,bpstar")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--repeats", type=_count_arg(1), default=3)
+    p.add_argument("--threads", type=_count_arg(1, cpu_bound=True), default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_bench)

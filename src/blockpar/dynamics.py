@@ -15,7 +15,9 @@ whole-space deciders read it; ``is_bijective`` checks it against a scalar
 per-block method.  Every cycle decomposition, of the transition graph and
 of a subdynamics pattern, is one pointer chase, ``_decompose``.  Everything
 here is exact and exhaustive, guarded by explicit resource caps: ``cap``
-bounds the number of substeps a single step may expand to, ``n_cap`` bounds
+bounds the number of substeps a single step may expand to (``None`` for no
+cap; every entry point checks it once, through
+:func:`~blockpar.schedule.check_substeps`), ``n_cap`` bounds
 the network size for whole-graph operations, ``DEFAULT_REACH_STEP_CAP``
 bounds the orbit ``reachable`` follows.  Exceeding a cap raises
 :class:`ResourceCapError` rather than truncating.
@@ -41,7 +43,7 @@ from .network import (
     update_block,
 )
 from .partitions import PrimeGadgetBasis, gadget_primes
-from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, equiv0, phi
+from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
 
 DEFAULT_SUBSTEP_CAP = DEFAULT_BLOCK_CAP
 DEFAULT_GRAPH_N_CAP = 20
@@ -60,14 +62,6 @@ def _require_compatible(f: BooleanNetwork, mu: PartitionedOrder) -> None:
 def _check_config(x: int, n: int) -> None:
     if not 0 <= x < (1 << n):
         raise ValueError(f"configuration {x} out of range for n={n}")
-
-
-def _check_substeps(mu: PartitionedOrder, cap: int) -> None:
-    length = mu.lcm()
-    if length > cap:
-        raise ResourceCapError(
-            f"one step expands to {length} substeps, above the cap of {cap}"
-        )
 
 
 def _trajectory(compiled, substeps: Iterable[tuple[int, ...]], x: int
@@ -91,20 +85,20 @@ def _image(compiled, substeps: Iterable[tuple[int, ...]], x: int) -> int:
 
 
 def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-         cap: int = DEFAULT_SUBSTEP_CAP) -> int:
+         cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> int:
     """Image of ``x`` after one full step: all substep block updates in order."""
     _require_compatible(f, mu)
     _check_config(x, f.n)
-    _check_substeps(mu, cap)
+    check_substeps(mu, cap)
     return _image(f.compiled(), mu.substeps(), x)
 
 
 def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-               cap: int = DEFAULT_SUBSTEP_CAP) -> list[int]:
+               cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> list[int]:
     """``x`` followed by the configuration after each substep (length lcm+1)."""
     _require_compatible(f, mu)
     _check_config(x, f.n)
-    _check_substeps(mu, cap)
+    check_substeps(mu, cap)
     return [x, *_trajectory(f.compiled(), mu.substeps(), x)]
 
 
@@ -146,7 +140,7 @@ def _transpose(planes: list[int], lanes: int) -> list[int]:
 
 
 def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
-            cap: int) -> Iterator[int]:
+            cap: Optional[int]) -> Iterator[int]:
     """The whole-space evaluator: the one-step image of every configuration,
     in order.  The caps are checked at the call; the images come lazily.
 
@@ -160,7 +154,7 @@ def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
     _require_compatible(f, mu)
     if f.n > n_cap:
         raise ResourceCapError(f"{what} exceeds n_cap={n_cap}")
-    _check_substeps(mu, cap)
+    check_substeps(mu, cap)
     return _sub_cube_images(f, mu)
 
 
@@ -253,7 +247,7 @@ class DynamicsGraph:
 
 def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
                      n_cap: int = DEFAULT_GRAPH_N_CAP,
-                     cap: int = DEFAULT_SUBSTEP_CAP,
+                     cap: Optional[int] = DEFAULT_SUBSTEP_CAP,
                      workers: int = 1) -> DynamicsGraph:
     """Successor of every configuration, with cycle decomposition.
 
@@ -268,14 +262,14 @@ def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
 # Deciders (exhaustive, desk scale)
 
 def is_fixed_point(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-                   cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+                   cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Single-configuration verification: does one step map ``x`` to itself?"""
     return step(f, mu, x, cap=cap) == x
 
 
 def fixed_points(f: BooleanNetwork, mu: PartitionedOrder,
                  n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: int = DEFAULT_SUBSTEP_CAP) -> frozenset[int]:
+                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> frozenset[int]:
     """All configurations mapped to themselves."""
     graph = transition_graph(f, mu, n_cap=n_cap, cap=cap)
     return frozenset(c[0] for c in graph.cycles if len(c) == 1)
@@ -283,14 +277,14 @@ def fixed_points(f: BooleanNetwork, mu: PartitionedOrder,
 
 def limit_cycles(f: BooleanNetwork, mu: PartitionedOrder,
                  n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: int = DEFAULT_SUBSTEP_CAP) -> tuple[tuple[int, ...], ...]:
+                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> tuple[tuple[int, ...], ...]:
     """All limit cycles with their member configurations."""
     return transition_graph(f, mu, n_cap=n_cap, cap=cap).cycles
 
 
 def limit_cycle_exists(f: BooleanNetwork, mu: PartitionedOrder, k: int,
                        n_cap: int = DEFAULT_GRAPH_N_CAP,
-                       cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+                       cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Is there a configuration returning to itself after ``k`` steps?
 
     Equivalent to some limit-cycle length dividing ``k``.
@@ -303,7 +297,7 @@ def limit_cycle_exists(f: BooleanNetwork, mu: PartitionedOrder, k: int,
 
 def limit_isomorphic(f: BooleanNetwork, mu: PartitionedOrder, mu2: PartitionedOrder,
                      n_cap: int = DEFAULT_GRAPH_N_CAP,
-                     cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+                     cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Do the two schedules give isomorphic dynamics on their limit sets?
 
     On a finite set the limit restriction is a permutation, so isomorphism
@@ -315,13 +309,14 @@ def limit_isomorphic(f: BooleanNetwork, mu: PartitionedOrder, mu2: PartitionedOr
 
 
 def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
-              cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+              cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Does the orbit of ``x`` reach ``y``?  At most ``DEFAULT_REACH_STEP_CAP``
     steps."""
     _require_compatible(f, mu)
     _check_config(x, f.n)
     _check_config(y, f.n)
-    _check_substeps(mu, cap)
+    check_substeps(mu, cap)
+    compiled = f.compiled()
     step_cap = DEFAULT_REACH_STEP_CAP
     seen: set[int] = set()
     cur = x
@@ -335,12 +330,12 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
                 f"orbit search exceeds the step cap of {step_cap}"
             )
         seen.add(cur)
-        cur = step(f, mu, cur, cap=cap)
+        cur = _image(compiled, mu.substeps(), cur)
 
 
 def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
                  n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: int = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
+                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
     """Some configuration mapping to ``y`` in one step, or None."""
     _require_compatible(f, mu)
     _check_config(y, f.n)
@@ -350,7 +345,7 @@ def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
 
 def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
                  n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Is one full step a bijection on configuration space?
 
     Decided twice: (a) the image of the step over all configurations has full
@@ -361,7 +356,8 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     images = _images(f, mu, f"bijectivity check over 2**{f.n}", n_cap, cap)
     size = 1 << f.n
     whole_step = len(set(images)) == size
-    distinct_blocks = set(phi(mu, cap=cap).blocks)
+    # Substeps list one entry per o-block in o-block order: equal sets are equal tuples.
+    distinct_blocks = set(mu.substeps())
     per_block = all(
         len({update_block(f, block, x) for x in range(size)}) == size
         for block in distinct_blocks
@@ -376,7 +372,7 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
 
 def is_identity(f: BooleanNetwork, mu: PartitionedOrder,
                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+                cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Is every configuration a fixed point?"""
     images = _images(f, mu, f"identity check over 2**{f.n}", n_cap, cap)
     return all(image == x for x, image in enumerate(images))
@@ -384,7 +380,7 @@ def is_identity(f: BooleanNetwork, mu: PartitionedOrder,
 
 def is_constant(f: BooleanNetwork, mu: PartitionedOrder,
                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                cap: int = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
+                cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
     """The common image if one step is a constant map, else None."""
     images = _images(f, mu, f"constant check over 2**{f.n}", n_cap, cap)
     image = next(images)
@@ -415,7 +411,7 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
                 graph: Mapping[object, object],
                 node_cap: int = 12,
                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                cap: int = DEFAULT_SUBSTEP_CAP) -> bool:
+                cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
     """Does the functional graph ``graph`` embed into the step dynamics?
 
     ``graph`` maps each vertex to its unique successor.  Each of its

@@ -17,8 +17,9 @@ Both column classes share one filler: ``bp0`` is the ``bpstar`` filler with
 every budget ``a[j] = j``, which leaves the minimum free.
 
 Streams are lazy single-consumer generators with a deterministic order for a
-fixed ``n`` and class.  A schedule is the concatenation of one piece per
-matrix, smallest part size first, which is the canonical o-block order.
+fixed ``n`` and class; each stream function checks its arguments when
+called.  A schedule is the concatenation of one piece per matrix, smallest
+part size first, which is the canonical o-block order.
 Fillings commute with increasing relabelling: the fillings of a content
 ``chosen`` are those of the matrix indices ``0 .. j*m - 1`` with index ``k``
 read as ``chosen[k]``.  So one recursion fills each matrix once per
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from itertools import combinations, filterfalse, islice, permutations
+from itertools import chain, combinations, filterfalse, islice, permutations
 from math import comb, factorial, gcd, lcm
 from operator import methodcaller
 from typing import Iterable, Iterator, Optional
@@ -254,19 +255,24 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
     return rec(tuple(range(n)), 0)
 
 
-def _check_args(n: int, partition: Optional[Partition]) -> None:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if partition is not None and partition.n != n:
-        raise ValueError(f"partition {partition.label()} is not a partition of {n}")
-
-
 def _supports(n: int, kind: str, partition: Optional[Partition]) -> Iterable[Partition]:
     """The partitions a class stream walks, after checking its arguments."""
     if kind not in CLASSES:
         raise ValueError(f"unknown schedule class {kind!r}, expected one of {CLASSES}")
-    _check_args(n, partition)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if partition is not None and partition.n != n:
+        raise ValueError(f"partition {partition.label()} does not sum to n={n}")
     return [partition] if partition is not None else partitions_of(n)
+
+
+def _chained(streams: Iterable[Iterable]) -> Iterator:
+    """``chain.from_iterable(streams)`` as a generator, which a reader can close.
+
+    The chain lets go of each stream once it is exhausted, before the next
+    one is made.
+    """
+    yield from chain.from_iterable(streams)
 
 
 def enum_class(n: int, kind: str, partition: Optional[Partition] = None
@@ -276,9 +282,8 @@ def enum_class(n: int, kind: str, partition: Optional[Partition] = None
     ``partition`` restricts the stream to schedules with that support.
     """
     from_rows = PartitionedOrder._from_rows
-    for p in _supports(n, kind, partition):
-        for rows in _partition_stream(n, p, kind, _ROWS):
-            yield from_rows(n, rows)
+    return (from_rows(n, rows) for p in _supports(n, kind, partition)
+            for rows in _partition_stream(n, p, kind, _ROWS))
 
 
 def class_lines(n: int, kind: str, partition: Optional[Partition] = None
@@ -289,8 +294,8 @@ def class_lines(n: int, kind: str, partition: Optional[Partition] = None
     partition)``, without a newline, but builds no schedule objects: each
     line is the concatenation of the text pieces of its matrices.
     """
-    for p in _supports(n, kind, partition):
-        yield from _partition_stream(n, p, kind, _TEXT)
+    return _chained(_partition_stream(n, p, kind, _TEXT)
+                    for p in _supports(n, kind, partition))
 
 
 def enum_bp(n: int, partition: Optional[Partition] = None) -> Iterator[PartitionedOrder]:
@@ -318,6 +323,22 @@ def _count_shard(task: tuple[int, str, tuple[int, ...]]) -> int:
     return sum(1 for _ in _partition_stream(n, p, kind, _ROWS))
 
 
+def _ordered_pool(func, tasks: Iterable, workers: int) -> Iterator:
+    """``func(task)`` for each of ``tasks``, in order, from a pool of ``workers``
+    processes; the next task is submitted when the oldest result is taken,
+    so at most ``workers`` are in flight."""
+    tasks = iter(tasks)
+    with multiprocessing.Pool(workers) as pool:
+        window = deque(pool.apply_async(func, (task,))
+                       for task in islice(tasks, workers))
+        while window:
+            result = window.popleft().get()
+            task = next(tasks, None)
+            if task is not None:
+                window.append(pool.apply_async(func, (task,)))
+            yield result
+
+
 def class_count(n: int, kind: str, workers: int = 1) -> int:
     """Cardinality of a class stream, optionally sharded by partition.
 
@@ -327,8 +348,7 @@ def class_count(n: int, kind: str, workers: int = 1) -> int:
     tasks = [(n, kind, p.parts) for p in _supports(n, kind, None)]
     if workers <= 1:
         return sum(map(_count_shard, tasks))
-    with multiprocessing.Pool(workers) as pool:
-        return sum(pool.imap(_count_shard, tasks))
+    return sum(_ordered_pool(_count_shard, tasks, workers))
 
 
 def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> str:
@@ -339,17 +359,9 @@ def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> str:
 def sharded_lines(n: int, kind: str, workers: int) -> Iterator[str]:
     """Serialized schedules in canonical order, partitions computed in parallel.
 
-    At most ``workers`` partitions are in flight: a new one is submitted only
-    when the oldest one's text has come back.  Each worker still builds one
-    whole partition's text before returning it; intended for the CLI.
+    At most ``workers`` partitions are in flight.  Each worker still builds
+    one whole partition's text before returning it; intended for the CLI.
     """
     tasks = ((n, kind, p.parts) for p in _supports(n, kind, None))
-    with multiprocessing.Pool(workers) as pool:
-        window = deque(pool.apply_async(_serialize_shard, (task,))
-                       for task in islice(tasks, workers))
-        while window:
-            text = window.popleft().get()
-            task = next(tasks, None)
-            if task is not None:
-                window.append(pool.apply_async(_serialize_shard, (task,)))
-            yield from text.split("\n")
+    texts = _ordered_pool(_serialize_shard, tasks, workers)
+    return _chained(text.split("\n") for text in texts)

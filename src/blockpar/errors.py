@@ -21,7 +21,7 @@ class CrossCheckError(BlockparError, RuntimeError):
 
 
 class ScheduleFormatError(BlockparError, ValueError):
-    """Malformed schedule text."""
+    """Malformed schedule: bad text, or o-blocks not covering each automaton once."""
 
 
 class NetworkSyntaxError(BlockparError, ValueError):

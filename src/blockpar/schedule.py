@@ -7,6 +7,12 @@ step consists of ``lcm`` of the o-block lengths substeps.  That rule is
 written once, in :meth:`PartitionedOrder.substeps`; ``phi`` spells a schedule
 out as that sequence of update blocks, and the simulator runs it.
 
+Each rule is checked in one place: the :class:`PartitionedOrder` constructor
+checks that the o-blocks cover ``0..n-1`` exactly once (``parse_schedule``
+only decodes the text, checks its shape and infers ``n``), and
+:func:`check_substeps` caps the substeps of one step for ``phi`` and the
+simulator.
+
 Two equivalences matter:
 
 * ``equiv0``: identical block sequences -- identical dynamics for every network.
@@ -45,22 +51,34 @@ class PartitionedOrder:
     __slots__ = ("n", "oblocks")
 
     def __init__(self, n: int, oblocks: Iterable[Iterable[int]]):
+        """Raises :class:`ScheduleFormatError` at the first o-block entry,
+        in the order given, that breaks the cover of ``0..n-1``."""
         blocks = tuple(tuple(block) for block in oblocks)
-        seen = set()
-        for block in blocks:
+        seen: dict[int, tuple[int, int]] = {}
+        for b, block in enumerate(blocks):
             if not block:
-                raise ValueError("empty o-block")
-            for i in block:
-                if not isinstance(i, int) or isinstance(i, bool):
-                    raise ValueError(f"automaton index {i!r} is not an integer")
-                if not 0 <= i < n:
-                    raise ValueError(f"automaton {i} out of range for n={n}")
-                if i in seen:
-                    raise ValueError(f"automaton {i} appears more than once")
-                seen.add(i)
+                raise ScheduleFormatError(f"o-block {b} is empty")
+            for e, idx in enumerate(block):
+                if not isinstance(idx, int) or isinstance(idx, bool):
+                    raise ScheduleFormatError(
+                        f"o-block {b}, entry {e}: {idx!r} is not an integer"
+                    )
+                if idx < 0:
+                    raise ScheduleFormatError(f"o-block {b}, entry {e}: negative index {idx}")
+                if idx >= n:
+                    raise ScheduleFormatError(
+                        f"o-block {b}, entry {e}: index {idx} out of range for n={n}"
+                    )
+                if idx in seen:
+                    pb, pe = seen[idx]
+                    raise ScheduleFormatError(
+                        f"o-block {b}, entry {e}: duplicate automaton {idx}"
+                        f" (first seen in o-block {pb}, entry {pe})"
+                    )
+                seen[idx] = (b, e)
         if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
-            raise ValueError(f"automata missing from schedule: {missing}")
+            missing = sorted(set(range(n)) - set(seen))
+            raise ScheduleFormatError(f"automata missing from schedule: {missing}")
         self.n = n
         self.oblocks = tuple(sorted(blocks, key=_oblock_key))
 
@@ -147,6 +165,16 @@ class BlockSequence:
         return len(self.blocks)
 
 
+def check_substeps(mu: PartitionedOrder, cap: Optional[int]) -> None:
+    """Raise :class:`ResourceCapError` if one step of ``mu`` expands to more
+    than ``cap`` substeps; ``cap=None`` means no cap."""
+    length = mu.lcm()
+    if cap is not None and length > cap:
+        raise ResourceCapError(
+            f"one step expands to {length} substeps, above the cap of {cap}"
+        )
+
+
 def phi(mu: PartitionedOrder, cap: Optional[int] = DEFAULT_BLOCK_CAP) -> BlockSequence:
     """Rewrite a partitioned order into its substep block sequence.
 
@@ -154,11 +182,7 @@ def phi(mu: PartitionedOrder, cap: Optional[int] = DEFAULT_BLOCK_CAP) -> BlockSe
     equal to the number of o-blocks.  Raises :class:`ResourceCapError` when
     that length exceeds ``cap`` (pass ``cap=None`` to force materialisation).
     """
-    length = mu.lcm()
-    if cap is not None and length > cap:
-        raise ResourceCapError(
-            f"phi would produce {length} blocks, above the cap of {cap}"
-        )
+    check_substeps(mu, cap)
     return BlockSequence(mu.n, tuple(mu.substeps()))
 
 
@@ -266,36 +290,12 @@ def parse_schedule(text: str, n: Optional[int] = None) -> PartitionedOrder:
         raise ScheduleFormatError("invalid JSON: arrays nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise ScheduleFormatError("schedule must be a non-empty array of o-blocks")
-    seen: dict[int, tuple[int, int]] = {}
     for b, block in enumerate(data):
         if not isinstance(block, list):
             raise ScheduleFormatError(f"o-block {b} is not an array")
-        if not block:
-            raise ScheduleFormatError(f"o-block {b} is empty")
-        for e, idx in enumerate(block):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise ScheduleFormatError(
-                    f"o-block {b}, entry {e}: {idx!r} is not an integer"
-                )
-            if idx < 0:
-                raise ScheduleFormatError(f"o-block {b}, entry {e}: negative index {idx}")
-            if n is not None and idx >= n:
-                raise ScheduleFormatError(
-                    f"o-block {b}, entry {e}: index {idx} out of range for n={n}"
-                )
-            if idx in seen:
-                pb, pe = seen[idx]
-                raise ScheduleFormatError(
-                    f"o-block {b}, entry {e}: duplicate automaton {idx}"
-                    f" (first seen in o-block {pb}, entry {pe})"
-                )
-            seen[idx] = (b, e)
-    size = n if n is not None else 1 + max(seen)
-    missing = sorted(set(range(size)) - set(seen))
-    if missing:
-        raise ScheduleFormatError(f"automata missing from schedule: {missing}")
-    rows = tuple(sorted((tuple(block) for block in data), key=_oblock_key))
-    return PartitionedOrder._from_rows(size, rows)
+    if n is None:
+        n = 1 + max((i for block in data for i in block if type(i) is int), default=-1)
+    return PartitionedOrder(n, data)
 
 
 def format_oblocks(oblocks: Iterable[tuple[int, ...]],
