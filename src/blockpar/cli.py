@@ -5,6 +5,9 @@ Decision answers are printed as ``true``/``false`` on stdout; exit codes only
 distinguish *how* a command ended: 0 completed (also when the reader closes
 stdout early), 2 usage error, 3 missing file, 4 malformed input, 5 resource
 cap exceeded, 6 internal error (a failed cross-check, always a bug).
+
+Each command imports the modules it runs on, so a command loads no module
+it does not use.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from contextlib import closing, contextmanager
@@ -20,11 +22,16 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
-from . import counting, dynamics, enumeration
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
 from .network import BooleanNetwork, format_config, parse_config, parse_network, serialize_network
 from .partitions import Partition
-from .schedule import PartitionedOrder, parse_schedule, serialize_schedule
+from .schedule import (
+    CLASSES,
+    DEFAULT_BLOCK_CAP,
+    PartitionedOrder,
+    parse_schedule,
+    serialize_schedule,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,6 +172,8 @@ def _write_table(args, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def cmd_count(args) -> dict:
+    from . import counting
+
     rows = [
         (n, counting.count_bs(n), counting.count_bp(n), counting.count_bp0(n),
          counting.count_bp_star(n), counting.count_bs_inter_bp(n))
@@ -175,6 +184,8 @@ def cmd_count(args) -> dict:
 
 
 def cmd_enum(args) -> dict:
+    from . import enumeration
+
     partition = Partition.parse(args.partition) if args.partition else None
     if args.threads > 1 and partition is None and args.limit is None:
         lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
@@ -189,6 +200,8 @@ def cmd_enum(args) -> dict:
 
 
 def cmd_step(args) -> dict:
+    from . import dynamics
+
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
@@ -198,6 +211,8 @@ def cmd_step(args) -> dict:
 
 
 def cmd_trace(args) -> dict:
+    from . import dynamics
+
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
@@ -207,6 +222,8 @@ def cmd_trace(args) -> dict:
 
 
 def cmd_dynamics(args) -> dict:
+    from . import dynamics
+
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     graph = dynamics.transition_graph(
@@ -216,7 +233,7 @@ def cmd_dynamics(args) -> dict:
         if args.format == "dot":
             _write_chunks(stream, dynamics.dot_lines(graph), "\n")
         else:
-            _write_json(stream, dynamics.graph_json(graph))
+            _write_chunks(stream, dynamics.json_lines(graph), "\n")
     return {"cycles": list(graph.cycle_lengths())}
 
 
@@ -226,6 +243,8 @@ def _answer(value: bool) -> dict:
 
 
 def cmd_check(args) -> dict:
+    from . import dynamics
+
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     prop = args.property
@@ -284,6 +303,8 @@ def cmd_check(args) -> dict:
 
 
 def cmd_gadget(args) -> dict:
+    from . import dynamics
+
     if args.kind != "counter":
         raise ScheduleFormatError(f"unknown gadget kind {args.kind!r}")
     bundle = dynamics.counter_gadget(args.n)
@@ -312,10 +333,14 @@ def cmd_gadget(args) -> dict:
 
 
 def cmd_bench(args) -> dict:
+    import statistics
+
+    from . import enumeration
+
     klasses = [k.strip() for k in args.classes.split(",") if k.strip()]
     rows = []
     for klass in klasses:
-        if klass not in enumeration.CLASSES:
+        if klass not in CLASSES:
             raise ScheduleFormatError(f"unknown schedule class {klass!r}")
     for n in range(1, args.n_max + 1):
         for klass in klasses:
@@ -346,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="exact counts of all schedule classes")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_count_arg(1))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("enum", help="stream one schedule per class member")
     p.add_argument("n", type=int)
-    p.add_argument("--class", dest="klass", choices=enumeration.CLASSES, default="bp")
+    p.add_argument("--class", dest="klass", choices=CLASSES, default="bp")
     p.add_argument("--limit", type=_count_arg(0), default=None,
                    help="stop after this many schedules")
     p.add_argument("--partition", help='restrict to one support, e.g. "2+2+3"')
@@ -366,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule", required=True, metavar="FILE|JSON")
         if config:
             p.add_argument("--config", metavar="BITS", required=config_required)
-        p.add_argument("--cap-substeps", type=int, default=dynamics.DEFAULT_SUBSTEP_CAP)
+        p.add_argument("--cap-substeps", type=_count_arg(1), default=DEFAULT_BLOCK_CAP)
 
     p = sub.add_parser("step", help="image of a configuration after one step")
     add_simulation_args(p, config_required=True)
@@ -401,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_gadget)
 
     p = sub.add_parser("bench", help="enumeration timings next to reference timings")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_count_arg(1))
     p.add_argument("--classes", default="bp,bp0,bpstar")
     p.add_argument("--repeats", type=_count_arg(1), default=3)
     p.add_argument("--threads", type=_count_arg(1, cpu_bound=True), default=1)

@@ -12,8 +12,12 @@ over every plane, and transposes the planes back into one image per
 configuration.  It works through sub-cubes of doubling size, so a decider
 that stops early evaluates few configurations.  The transition graph and the
 whole-space deciders read it; ``is_bijective`` checks it against a scalar
-per-block method.  Every cycle decomposition, of the transition graph and
-of a subdynamics pattern, is one pointer chase, ``_decompose``.  Everything
+per-block method, ``_blocks_bijective``, which evaluates each local once per
+configuration into a column of bytes and assembles every block's images
+from the columns.  Every cycle decomposition, of the transition graph and
+of a subdynamics pattern, is one pointer chase, ``_decompose``.  The
+exports, ``dot_lines`` and ``json_lines``, yield their text lazily, one
+edge or one cycle at a time, so no export is built as one string.  Everything
 here is exact and exhaustive, guarded by explicit resource caps: ``cap``
 bounds the number of substeps a single step may expand to (``None`` for no
 cap; every entry point checks it once, through
@@ -29,6 +33,8 @@ import struct
 import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, lshift, or_
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CrossCheckError, ResourceCapError
@@ -40,7 +46,6 @@ from .network import (
     Xor,
     and_chain,
     format_config,
-    update_block,
 )
 from .partitions import PrimeGadgetBasis, gadget_primes
 from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
@@ -343,6 +348,31 @@ def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
     return next((x for x, image in enumerate(images) if image == y), None)
 
 
+def _blocks_bijective(f: BooleanNetwork, blocks: Iterable[tuple[int, ...]]) -> bool:
+    """Is every block update in ``blocks`` a bijection?  Stops at the first
+    block that is not.
+
+    Every local in a block reads the configuration before the substep, so
+    automaton ``i``'s new value at ``x`` is the same in every block.  It is
+    computed once per automaton, with the scalar lambdas, as a column of one
+    byte per configuration; a block's image of ``x`` is then ``x`` with the
+    block's bits cleared and each column's bit shifted in.
+    """
+    compiled = f.compiled()
+    size = 1 << f.n
+    configs = range(size)
+    columns: dict[int, bytes] = {}
+    for block in blocks:
+        images = map(and_, configs, repeat(~sum(1 << i for i in block)))
+        for i in block:
+            if i not in columns:
+                columns[i] = bytes(map(compiled[i], configs))
+            images = map(or_, images, map(lshift, columns[i], repeat(i)))
+        if len(set(images)) != size:
+            return False
+    return True
+
+
 def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
                  n_cap: int = DEFAULT_GRAPH_N_CAP,
                  cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
@@ -354,14 +384,9 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     bijective exactly when every factor is.
     """
     images = _images(f, mu, f"bijectivity check over 2**{f.n}", n_cap, cap)
-    size = 1 << f.n
-    whole_step = len(set(images)) == size
+    whole_step = len(set(images)) == 1 << f.n
     # Substeps list one entry per o-block in o-block order: equal sets are equal tuples.
-    distinct_blocks = set(mu.substeps())
-    per_block = all(
-        len({update_block(f, block, x) for x in range(size)}) == size
-        for block in distinct_blocks
-    )
+    per_block = _blocks_bijective(f, set(mu.substeps()))
     if whole_step != per_block:
         raise CrossCheckError(
             f"bijectivity methods disagree: whole-step={whole_step},"
@@ -588,6 +613,37 @@ def to_dot(graph: DynamicsGraph) -> str:
     """DOT digraph: one node per configuration bitstring, one arc per successor."""
     # The final newline is joined in, so the text is not copied once more.
     return "\n".join([*dot_lines(graph), ""])
+
+
+def _with_commas(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces``, each but the last followed by a comma."""
+    pieces = iter(pieces)
+    previous = next(pieces)
+    for piece in pieces:
+        yield previous + ","
+        previous = piece
+    yield previous
+
+
+def json_lines(graph: DynamicsGraph) -> Iterator[str]:
+    """The lines of ``json.dumps(graph_json(graph), indent=2)``, without
+    newlines, lazily: the lines of one edge, or of one cycle's members, come
+    as one piece."""
+    names = _names(graph)
+    cycles = sorted(graph.cycles, key=len)
+    yield f'{{\n  "n": {graph.n},\n  "edges": ['
+    yield from _with_commas(
+        f'    [\n      "{names[x]}",\n      "{names[s]}"\n    ]'
+        for x, s in enumerate(graph.successors)
+    )
+    yield '  ],\n  "cycles": {\n    "lengths": ['
+    yield from _with_commas(f"      {len(cycle)}" for cycle in cycles)
+    yield '    ],\n    "members": ['
+    yield from _with_commas(
+        "      [\n" + ",\n".join(f'        "{names[x]}"' for x in cycle) + "\n      ]"
+        for cycle in cycles
+    )
+    yield "    ]\n  }\n}"
 
 
 def graph_json(graph: DynamicsGraph) -> dict:

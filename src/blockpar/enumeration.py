@@ -44,12 +44,14 @@ from operator import methodcaller
 from typing import Iterable, Iterator, Optional
 
 from .partitions import Partition, partitions_of
-from .schedule import PartitionedOrder, format_oblocks
-
-CLASS_BP = "bp"
-CLASS_BP0 = "bp0"
-CLASS_BP_STAR = "bpstar"
-CLASSES = (CLASS_BP, CLASS_BP0, CLASS_BP_STAR)
+from .schedule import (
+    CLASS_BP,
+    CLASS_BP0,
+    CLASS_BP_STAR,
+    CLASSES,
+    PartitionedOrder,
+    format_oblocks,
+)
 
 #: Most fillings of one matrix held as templates; bigger matrices fall back
 #: to fully lazy nesting so early stream consumers never stall.

@@ -18,13 +18,15 @@ as deep parentheses, is a syntax error.
 from __future__ import annotations
 
 import operator
-import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 from .errors import NetworkSyntaxError
+
+if TYPE_CHECKING:
+    import random
 
 # Precedences, loosest to tightest; Python ranks ``|``, ``^``, ``&`` alike.
 _PREC_OR, _PREC_XOR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5

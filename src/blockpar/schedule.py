@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import cycle, filterfalse, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceCapError, ScheduleFormatError
@@ -34,6 +34,12 @@ from .partitions import Partition
 #: Hard ceiling on materialised substep counts; schedules built from prime
 #: o-block lengths can expand to astronomically long block sequences.
 DEFAULT_BLOCK_CAP = 10**6
+
+#: The schedule classes, as ``enumeration`` and the command line name them.
+CLASS_BP = "bp"
+CLASS_BP0 = "bp0"
+CLASS_BP_STAR = "bpstar"
+CLASSES = (CLASS_BP, CLASS_BP0, CLASS_BP_STAR)
 
 
 def _oblock_key(block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -77,8 +83,12 @@ class PartitionedOrder:
                     )
                 seen[idx] = (b, e)
         if len(seen) != n:
-            missing = sorted(set(range(n)) - set(seen))
-            raise ScheduleFormatError(f"automata missing from schedule: {missing}")
+            # At most ten are listed: the scan ends after len(seen) + 10 indices.
+            first = list(islice(filterfalse(seen.__contains__, range(n)), 10))
+            missing = n - len(seen)
+            listed = (str(first) if missing == len(first)
+                      else f"[{', '.join(map(str, first))}, ...] ({missing} in all)")
+            raise ScheduleFormatError(f"automata missing from schedule: {listed}")
         self.n = n
         self.oblocks = tuple(sorted(blocks, key=_oblock_key))
 

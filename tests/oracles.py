@@ -123,6 +123,16 @@ def substep_image(f, mu, x: int) -> int:
     return x
 
 
+def per_block_bijective(f, mu) -> bool:
+    """Is every distinct substep block a bijective update?  ``update_block``
+    on every configuration, one block at a time."""
+    size = 1 << f.n
+    return all(
+        len({update_block(f, block, x) for x in range(size)}) == size
+        for block in set(mu.substeps())
+    )
+
+
 def format_config_bits(x: int, n: int) -> str:
     """Configuration to bitstring, one shifted bit per character."""
     return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
