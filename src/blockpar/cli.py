@@ -4,7 +4,8 @@ analysis, gadget generation, and a benchmark harness.
 Decision answers are printed as ``true``/``false`` on stdout; exit codes only
 distinguish *how* a command ended: 0 completed (also when the reader closes
 stdout early), 2 usage error, 3 missing file, 4 malformed input, 5 resource
-cap exceeded, 6 internal error (a failed cross-check, always a bug).
+cap exceeded, 6 internal error (a failed cross-check or any other unexpected
+exception: always a bug).
 
 Each command imports the modules it runs on, so a command loads no module
 it does not use.
@@ -460,9 +461,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CrossCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         status = EXIT_INTERNAL
-    except (BlockparError, ValueError) as exc:
+    except (BlockparError, ValueError, OSError) as exc:
+        # OSError here is an output path that cannot be written (``--out /``).
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        status = EXIT_INTERNAL
     if args.report:
         parameters = {
             k: v
@@ -476,9 +481,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             result=result,
             exit_status=status,
         )
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(asdict(report), handle, indent=2, default=str)
-            handle.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                json.dump(asdict(report), handle, indent=2, default=str)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            status = status or EXIT_BAD_INPUT
     return status
 
 

@@ -18,12 +18,16 @@ from the columns.  Every cycle decomposition, of the transition graph and
 of a subdynamics pattern, is one pointer chase, ``_decompose``.  The
 exports, ``dot_lines`` and ``json_lines``, yield their text lazily, one
 edge or one cycle at a time, so no export is built as one string.  Everything
-here is exact and exhaustive, guarded by explicit resource caps: ``cap``
-bounds the number of substeps a single step may expand to (``None`` for no
-cap; every entry point checks it once, through
-:func:`~blockpar.schedule.check_substeps`), ``n_cap`` bounds
-the network size for whole-graph operations, ``DEFAULT_REACH_STEP_CAP``
-bounds the orbit ``reachable`` follows.  Exceeding a cap raises
+here is exact and exhaustive, guarded by explicit resource caps.  The
+``cap`` keyword bounds the substeps one step may expand to (``None`` for no
+cap).  Module constants, read at each call, bound the rest:
+``DEFAULT_GRAPH_N_CAP`` the automata of a whole-space operation,
+``DEFAULT_NODE_CAP`` the vertices of a ``subdynamics`` pattern,
+``DEFAULT_REACH_STEP_CAP`` the orbit ``reachable`` follows and
+``GADGET_AUTOMATA_CAP`` the automata of a gadget.  Every entry point checks
+its inputs once, through ``_check_call``: the sizes match, then each
+configuration is in range, then the graph cap, then the substep cap
+(:func:`~blockpar.schedule.check_substeps`).  Exceeding a cap raises
 :class:`ResourceCapError` rather than truncating.
 """
 
@@ -47,26 +51,36 @@ from .network import (
     and_chain,
     format_config,
 )
-from .partitions import PrimeGadgetBasis, gadget_primes
+from .partitions import PrimeGadgetBasis, gadget_primes, prime_count_for, sieve_primes_below
 from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
 
-DEFAULT_SUBSTEP_CAP = DEFAULT_BLOCK_CAP
+#: Most automata a whole-space operation runs on (``n_cap`` in its message).
 DEFAULT_GRAPH_N_CAP = 20
+#: Most vertices of a ``subdynamics`` pattern (``node_cap`` in its message).
+DEFAULT_NODE_CAP = 12
 #: Steps ``reachable`` may take: enough for any orbit within ``n_cap`` automata.
 DEFAULT_REACH_STEP_CAP = 1 << DEFAULT_GRAPH_N_CAP
+#: Most automata ``counter_gadget`` builds: ``n = 68`` has 1,001,672.
+GADGET_AUTOMATA_CAP = 1 << 20
 #: ``_images`` evaluates the first ``2**_FIRST_CUBE_WIDTH`` configurations
 #: alone, then sub-cubes that double in size.
 _FIRST_CUBE_WIDTH = 8
 
 
-def _require_compatible(f: BooleanNetwork, mu: PartitionedOrder) -> None:
+def _check_call(f: BooleanNetwork, mu: PartitionedOrder, cap: Optional[int],
+                *configs: int, what: Optional[str] = None) -> None:
+    """Check an entry point's inputs, once, in this order: ``f`` and ``mu``
+    act on the same automata; each of ``configs`` is a configuration of
+    them; a whole-space call, which names its operation ``what``, fits
+    ``DEFAULT_GRAPH_N_CAP``; one step fits ``cap`` substeps."""
     if f.n != mu.n:
         raise ValueError(f"network has {f.n} automata but schedule has {mu.n}")
-
-
-def _check_config(x: int, n: int) -> None:
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"configuration {x} out of range for n={n}")
+    for x in configs:
+        if not 0 <= x < (1 << f.n):
+            raise ValueError(f"configuration {x} out of range for n={f.n}")
+    if what is not None and f.n > DEFAULT_GRAPH_N_CAP:
+        raise ResourceCapError(f"{what} exceeds n_cap={DEFAULT_GRAPH_N_CAP}")
+    check_substeps(mu, cap)
 
 
 def _trajectory(compiled, substeps: Iterable[tuple[int, ...]], x: int
@@ -90,20 +104,16 @@ def _image(compiled, substeps: Iterable[tuple[int, ...]], x: int) -> int:
 
 
 def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-         cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> int:
+         cap: Optional[int] = DEFAULT_BLOCK_CAP) -> int:
     """Image of ``x`` after one full step: all substep block updates in order."""
-    _require_compatible(f, mu)
-    _check_config(x, f.n)
-    check_substeps(mu, cap)
+    _check_call(f, mu, cap, x)
     return _image(f.compiled(), mu.substeps(), x)
 
 
 def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-               cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> list[int]:
+               cap: Optional[int] = DEFAULT_BLOCK_CAP) -> list[int]:
     """``x`` followed by the configuration after each substep (length lcm+1)."""
-    _require_compatible(f, mu)
-    _check_config(x, f.n)
-    check_substeps(mu, cap)
+    _check_call(f, mu, cap, x)
     return [x, *_trajectory(f.compiled(), mu.substeps(), x)]
 
 
@@ -144,8 +154,8 @@ def _transpose(planes: list[int], lanes: int) -> list[int]:
     return memoryview(table).cast(code).tolist()
 
 
-def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
-            cap: Optional[int]) -> Iterator[int]:
+def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str,
+            cap: Optional[int], *configs: int) -> Iterator[int]:
     """The whole-space evaluator: the one-step image of every configuration,
     in order.  The caps are checked at the call; the images come lazily.
 
@@ -154,12 +164,10 @@ def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str, n_cap: int,
     once over all lanes.  The first sub-cube holds configurations below
     ``2**_FIRST_CUBE_WIDTH``, then each sub-cube ``[2**k, 2**(k+1))`` follows,
     so an early exit costs few lanes and the whole space costs ``2**n``.
-    ``what`` names the operation in the ``n_cap`` error.
+    ``what`` names the operation in the ``n_cap`` error; ``configs``, the
+    caller's configuration arguments, are checked with the rest.
     """
-    _require_compatible(f, mu)
-    if f.n > n_cap:
-        raise ResourceCapError(f"{what} exceeds n_cap={n_cap}")
-    check_substeps(mu, cap)
+    _check_call(f, mu, cap, *configs, what=what)
     return _sub_cube_images(f, mu)
 
 
@@ -251,8 +259,7 @@ class DynamicsGraph:
 
 
 def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
-                     n_cap: int = DEFAULT_GRAPH_N_CAP,
-                     cap: Optional[int] = DEFAULT_SUBSTEP_CAP,
+                     cap: Optional[int] = DEFAULT_BLOCK_CAP,
                      workers: int = 1) -> DynamicsGraph:
     """Successor of every configuration, with cycle decomposition.
 
@@ -260,67 +267,60 @@ def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
     process, which is faster than starting a pool.
     """
     what = f"transition graph over 2**{f.n} configurations"
-    return DynamicsGraph(f.n, list(_images(f, mu, what, n_cap, cap)))
+    return DynamicsGraph(f.n, list(_images(f, mu, what, cap)))
 
 
 # ---------------------------------------------------------------------------
 # Deciders (exhaustive, desk scale)
 
 def is_fixed_point(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-                   cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+                   cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Single-configuration verification: does one step map ``x`` to itself?"""
     return step(f, mu, x, cap=cap) == x
 
 
 def fixed_points(f: BooleanNetwork, mu: PartitionedOrder,
-                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> frozenset[int]:
+                 cap: Optional[int] = DEFAULT_BLOCK_CAP) -> frozenset[int]:
     """All configurations mapped to themselves."""
-    graph = transition_graph(f, mu, n_cap=n_cap, cap=cap)
+    graph = transition_graph(f, mu, cap=cap)
     return frozenset(c[0] for c in graph.cycles if len(c) == 1)
 
 
 def limit_cycles(f: BooleanNetwork, mu: PartitionedOrder,
-                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> tuple[tuple[int, ...], ...]:
+                 cap: Optional[int] = DEFAULT_BLOCK_CAP) -> tuple[tuple[int, ...], ...]:
     """All limit cycles with their member configurations."""
-    return transition_graph(f, mu, n_cap=n_cap, cap=cap).cycles
+    return transition_graph(f, mu, cap=cap).cycles
 
 
 def limit_cycle_exists(f: BooleanNetwork, mu: PartitionedOrder, k: int,
-                       n_cap: int = DEFAULT_GRAPH_N_CAP,
-                       cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+                       cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Is there a configuration returning to itself after ``k`` steps?
 
     Equivalent to some limit-cycle length dividing ``k``.
     """
     if k < 1:
         raise ValueError(f"cycle exponent must be positive, got {k}")
-    graph = transition_graph(f, mu, n_cap=n_cap, cap=cap)
+    graph = transition_graph(f, mu, cap=cap)
     return any(k % len(c) == 0 for c in graph.cycles)
 
 
 def limit_isomorphic(f: BooleanNetwork, mu: PartitionedOrder, mu2: PartitionedOrder,
-                     n_cap: int = DEFAULT_GRAPH_N_CAP,
-                     cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+                     cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Do the two schedules give isomorphic dynamics on their limit sets?
 
     On a finite set the limit restriction is a permutation, so isomorphism
     reduces to equality of the cycle-length multisets.
     """
-    lengths = transition_graph(f, mu, n_cap=n_cap, cap=cap).cycle_lengths()
-    lengths2 = transition_graph(f, mu2, n_cap=n_cap, cap=cap).cycle_lengths()
+    lengths = transition_graph(f, mu, cap=cap).cycle_lengths()
+    lengths2 = transition_graph(f, mu2, cap=cap).cycle_lengths()
     return lengths == lengths2
 
 
 def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
-              cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+              cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Does the orbit of ``x`` reach ``y``?  At most ``DEFAULT_REACH_STEP_CAP``
     steps."""
-    _require_compatible(f, mu)
-    _check_config(x, f.n)
-    _check_config(y, f.n)
-    check_substeps(mu, cap)
+    _check_call(f, mu, cap, x, y)
     compiled = f.compiled()
     step_cap = DEFAULT_REACH_STEP_CAP
     seen: set[int] = set()
@@ -339,12 +339,9 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
 
 
 def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
-                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
+                 cap: Optional[int] = DEFAULT_BLOCK_CAP) -> Optional[int]:
     """Some configuration mapping to ``y`` in one step, or None."""
-    _require_compatible(f, mu)
-    _check_config(y, f.n)
-    images = _images(f, mu, f"preimage search over 2**{f.n}", n_cap, cap)
+    images = _images(f, mu, f"preimage search over 2**{f.n}", cap, y)
     return next((x for x, image in enumerate(images) if image == y), None)
 
 
@@ -374,8 +371,7 @@ def _blocks_bijective(f: BooleanNetwork, blocks: Iterable[tuple[int, ...]]) -> b
 
 
 def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
-                 n_cap: int = DEFAULT_GRAPH_N_CAP,
-                 cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+                 cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Is one full step a bijection on configuration space?
 
     Decided twice: (a) the image of the step over all configurations has full
@@ -383,7 +379,7 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     update.  The two answers must agree; a composition of block updates is
     bijective exactly when every factor is.
     """
-    images = _images(f, mu, f"bijectivity check over 2**{f.n}", n_cap, cap)
+    images = _images(f, mu, f"bijectivity check over 2**{f.n}", cap)
     whole_step = len(set(images)) == 1 << f.n
     # Substeps list one entry per o-block in o-block order: equal sets are equal tuples.
     per_block = _blocks_bijective(f, set(mu.substeps()))
@@ -396,18 +392,16 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
 
 
 def is_identity(f: BooleanNetwork, mu: PartitionedOrder,
-                n_cap: int = DEFAULT_GRAPH_N_CAP,
-                cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Is every configuration a fixed point?"""
-    images = _images(f, mu, f"identity check over 2**{f.n}", n_cap, cap)
+    images = _images(f, mu, f"identity check over 2**{f.n}", cap)
     return all(image == x for x, image in enumerate(images))
 
 
 def is_constant(f: BooleanNetwork, mu: PartitionedOrder,
-                n_cap: int = DEFAULT_GRAPH_N_CAP,
-                cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> Optional[int]:
+                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> Optional[int]:
     """The common image if one step is a constant map, else None."""
-    images = _images(f, mu, f"constant check over 2**{f.n}", n_cap, cap)
+    images = _images(f, mu, f"constant check over 2**{f.n}", cap)
     image = next(images)
     return image if all(other == image for other in images) else None
 
@@ -434,9 +428,7 @@ def _kuhn_match(left: list, right: list, feasible) -> bool:
 
 def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
                 graph: Mapping[object, object],
-                node_cap: int = 12,
-                n_cap: int = DEFAULT_GRAPH_N_CAP,
-                cap: Optional[int] = DEFAULT_SUBSTEP_CAP) -> bool:
+                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Does the functional graph ``graph`` embed into the step dynamics?
 
     ``graph`` maps each vertex to its unique successor.  Each of its
@@ -446,10 +438,9 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
     """
     if not graph:
         raise ValueError("subdynamics graph must be non-empty")
-    if len(graph) > node_cap:
-        raise ResourceCapError(
-            f"subdynamics graph has {len(graph)} vertices, above node_cap={node_cap}"
-        )
+    if len(graph) > DEFAULT_NODE_CAP:
+        raise ResourceCapError(f"subdynamics graph has {len(graph)} vertices,"
+                               f" above node_cap={DEFAULT_NODE_CAP}")
     # Relabel the vertices 0..k-1, in the order given.
     label = {node: k for k, node in enumerate(graph)}
     g_successors = []
@@ -460,7 +451,7 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
             raise ValueError(f"successor {succ!r} of {node!r} is not a vertex") from None
     g_cycles, _ = _decompose(g_successors)
     g_children = _tree_children(g_successors, {u for c in g_cycles for u in c})
-    dyn = transition_graph(f, mu, n_cap=n_cap, cap=cap)
+    dyn = transition_graph(f, mu, cap=cap)
     dyn_children = _tree_children(dyn.successors, dyn.limit_set)
 
     tree_memo: dict[tuple[int, int], bool] = {}
@@ -510,8 +501,6 @@ def distinguishing_network(mu: PartitionedOrder, mu2: PartitionedOrder
     such pair exists (first-update orders coincide even though the block
     sequences differ).
     """
-    if mu.n != mu2.n:
-        raise ValueError(f"schedules act on different sizes: {mu.n} vs {mu2.n}")
     if equiv0(mu, mu2):
         raise ValueError("schedules are dynamically equal; nothing distinguishes them")
     times = mu.first_update_times()
@@ -553,6 +542,27 @@ class GadgetBundle:
         return self.network.n
 
 
+def _gadget_fits(n: int) -> bool:
+    """Does ``counter_gadget(n)`` have at most ``GADGET_AUTOMATA_CAP`` automata?
+
+    It has ``n`` counter automata and one padding automaton per unit of each
+    of the ``prime_count_for(n)`` smallest primes below ``n*n``.  They are
+    sieved below a doubling limit, so a gadget past the cap is refused once
+    the primes found exceed it, without sieving ``n*n`` bytes.
+    """
+    cap = GADGET_AUTOMATA_CAP
+    if n > cap:  # also keeps n*n within prime_count_for's float division
+        return False
+    k, limit = prime_count_for(n), 1
+    while True:
+        limit = min(2 * limit, n * n)
+        primes = sieve_primes_below(limit)[:k]
+        if n + sum(primes) > cap:
+            return False
+        if len(primes) == k or limit == n * n:
+            return True
+
+
 def counter_gadget(n: int) -> GadgetBundle:
     """Saturating binary counter driven by prime-length padding o-blocks.
 
@@ -564,6 +574,10 @@ def counter_gadget(n: int) -> GadgetBundle:
     """
     if n < 2:
         raise ValueError(f"counter gadget needs n >= 2, got {n}")
+    if not _gadget_fits(n):
+        raise ResourceCapError(
+            f"counter gadget for n={n} has more than {GADGET_AUTOMATA_CAP} automata"
+        )
     basis = gadget_primes(n)
     q = basis.total
     counter_vars = [Var(q + i) for i in range(n)]

@@ -31,18 +31,25 @@ filling as its sorted rows and wraps them in a :class:`PartitionedOrder`;
 :func:`class_lines` renders it as its piece of the schedule text, a
 ``str.format`` template when it is relabelled, so each line is already
 ``serialize_schedule(mu)``.  :func:`sharded_lines` spreads the partitions of
-``n`` over a process pool, at most ``workers`` partitions in flight.
+``n`` over a process pool, at most ``workers`` partitions in flight;
+``multiprocessing`` is imported only when a pool starts.
+
+A stream nests one generator per part size and a filler one more per
+column (per row for ``bp``), and its first schedule nests as deep as any.
+A partition too deep for the interpreter's recursion limit raises
+:class:`~blockpar.errors.ResourceCapError` before the first schedule.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import sys
 from collections import deque
 from itertools import chain, combinations, filterfalse, islice, permutations
 from math import comb, factorial, gcd, lcm
 from operator import methodcaller
 from typing import Iterable, Iterator, Optional
 
+from .errors import ResourceCapError
 from .partitions import Partition, partitions_of
 from .schedule import (
     CLASS_BP,
@@ -120,9 +127,6 @@ def _fill_columns_shifted(elements: tuple[int, ...], j: int, m: int, budget: int
     still unplaced when exactly ``j - budget + 1`` columns remain, it is
     forced into the current column.
     """
-    if j == 1:
-        yield tuple((e,) for e in elements)
-        return
     minimum = elements[0]
     force_at = j - budget + 1
 
@@ -254,7 +258,16 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
                 for tail in rec(rest, nxt):
                     yield from map(tail.__add__, pieces)
 
-    return rec(tuple(range(n)), 0)
+    def stream() -> Iterator:
+        try:
+            yield from rec(tuple(range(n)), 0)
+        except RecursionError:
+            raise ResourceCapError(
+                f"the {kind} stream of a partition of {n} nests deeper than"
+                f" the recursion limit of {sys.getrecursionlimit()}"
+            ) from None
+
+    return stream()
 
 
 def _supports(n: int, kind: str, partition: Optional[Partition]) -> Iterable[Partition]:
@@ -329,6 +342,8 @@ def _ordered_pool(func, tasks: Iterable, workers: int) -> Iterator:
     """``func(task)`` for each of ``tasks``, in order, from a pool of ``workers``
     processes; the next task is submitted when the oldest result is taken,
     so at most ``workers`` are in flight."""
+    import multiprocessing
+
     tasks = iter(tasks)
     with multiprocessing.Pool(workers) as pool:
         window = deque(pool.apply_async(func, (task,))
@@ -339,6 +354,16 @@ def _ordered_pool(func, tasks: Iterable, workers: int) -> Iterator:
             if task is not None:
                 window.append(pool.apply_async(func, (task,)))
             yield result
+
+
+def __getattr__(name: str):
+    # ``enumeration.multiprocessing`` stays reachable, for tests that patch
+    # its ``Pool``, without importing it when the module loads.
+    if name == "multiprocessing":
+        import multiprocessing
+
+        return multiprocessing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def class_count(n: int, kind: str, workers: int = 1) -> int:

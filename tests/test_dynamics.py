@@ -129,9 +129,10 @@ class TestTransitionGraph:
         assert graph_seq.successors == graph_par.successors
         assert graph_seq.cycles == graph_par.cycles
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("blockpar.dynamics.DEFAULT_GRAPH_N_CAP", 5)
         with pytest.raises(ResourceCapError):
-            transition_graph(identity_network(6), PartitionedOrder.parallel(6), n_cap=5)
+            transition_graph(identity_network(6), PartitionedOrder.parallel(6))
 
 
 class TestFixedPoints:

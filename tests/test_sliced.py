@@ -70,17 +70,19 @@ def test_workers_match_sequential():
         assert with_workers.cycles == graph.cycles
 
 
-def test_workers_keep_the_caps():
+def test_workers_keep_the_caps(monkeypatch):
     f = random_network(6, random.Random(1))
+    monkeypatch.setattr(dynamics, "DEFAULT_GRAPH_N_CAP", 5)
     with pytest.raises(ResourceCapError, match="n_cap=5"):
-        transition_graph(f, PartitionedOrder.parallel(6), n_cap=5, workers=2)
+        transition_graph(f, PartitionedOrder.parallel(6), workers=2)
 
 
-def test_caps_raised_at_the_call():
+def test_caps_raised_at_the_call(monkeypatch):
     # The images come lazily, but a cap error must not wait for the first one.
     f = random_network(6, random.Random(1))
+    monkeypatch.setattr(dynamics, "DEFAULT_GRAPH_N_CAP", 5)
     with pytest.raises(ResourceCapError, match="n_cap=5"):
-        dynamics._images(f, PartitionedOrder.parallel(6), "test", 5, 10)
+        dynamics._images(f, PartitionedOrder.parallel(6), "test", 10)
 
 
 def test_sub_cubes_stop_at_an_early_exit(monkeypatch):
