@@ -47,6 +47,15 @@ EXIT_INTERNAL = 6
 #: memory held.
 WRITE_CHUNK = 1024
 
+#: The columns of the ``count`` table, and the column of each schedule class.
+COUNT_HEADER = ("n", "bs", "bp", "bp0", "bp_star", "bs_inter_bp")
+CLASS_COLUMN = {"bp": "bp", "bp0": "bp0", "bpstar": "bp_star"}
+
+#: Most schedules ``bench`` drains in all (its class counts times
+#: ``--repeats``): about 75 s at the 1.3 million schedules/s of a 2-vCPU
+#: Xeon host (Python 3.11).
+BENCH_DRAIN_CAP = 10**8
+
 #: Single-run timings (seconds) reported for an earlier pure-Python
 #: implementation of the same enumerations on a 2.80 GHz laptop; shown in
 #: benchmark output purely as context.
@@ -175,12 +184,8 @@ def _write_table(args, header: tuple[str, ...], rows: list[tuple]) -> None:
 def cmd_count(args) -> dict:
     from . import counting
 
-    rows = [
-        (n, counting.count_bs(n), counting.count_bp(n), counting.count_bp0(n),
-         counting.count_bp_star(n), counting.count_bs_inter_bp(n))
-        for n in range(1, args.n_max + 1)
-    ]
-    _write_table(args, ("n", "bs", "bp", "bp0", "bp_star", "bs_inter_bp"), rows)
+    rows = counting.count_table(args.n_max)
+    _write_table(args, COUNT_HEADER, rows)
     return {"rows": len(rows)}
 
 
@@ -336,13 +341,21 @@ def cmd_gadget(args) -> dict:
 def cmd_bench(args) -> dict:
     import statistics
 
-    from . import enumeration
+    from . import counting, enumeration
 
     klasses = [k.strip() for k in args.classes.split(",") if k.strip()]
     rows = []
     for klass in klasses:
         if klass not in CLASSES:
             raise ScheduleFormatError(f"unknown schedule class {klass!r}")
+    columns = [COUNT_HEADER.index(CLASS_COLUMN[klass]) for klass in klasses]
+    drain = args.repeats * sum(row[c] for row in counting.count_table(args.n_max)
+                               for c in columns)
+    if drain > BENCH_DRAIN_CAP:
+        raise ResourceCapError(
+            f"bench up to n={args.n_max} drains {drain} schedules,"
+            f" above the cap of {BENCH_DRAIN_CAP}"
+        )
     for n in range(1, args.n_max + 1):
         for klass in klasses:
             timings = []

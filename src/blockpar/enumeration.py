@@ -14,7 +14,10 @@ o-blocks.  The three classes differ only in how a matrix may be filled:
                  cuts each limit-isomorphism class down to one representative.
 
 Both column classes share one filler: ``bp0`` is the ``bpstar`` filler with
-every budget ``a[j] = j``, which leaves the minimum free.
+every budget ``a[j] = j``, which leaves the minimum free.  A matrix with one
+row fills the same way in every class, in lexicographic order of the
+permutations of its members, keeping those whose minimum lies within the
+first ``a[j]`` positions; :func:`_one_row` lists them with ``itertools``.
 
 Streams are lazy single-consumer generators with a deterministic order for a
 fixed ``n`` and class; each stream function checks its arguments when
@@ -34,9 +37,10 @@ filling as its sorted rows and wraps them in a :class:`PartitionedOrder`;
 ``n`` over a process pool, at most ``workers`` partitions in flight;
 ``multiprocessing`` is imported only when a pool starts.
 
-A stream nests one generator per part size and a filler one more per
-column (per row for ``bp``), and its first schedule nests as deep as any.
-A partition too deep for the interpreter's recursion limit raises
+A stream nests one generator per part size and a filler of a matrix with
+two or more rows one more per column (per row for ``bp``); a one-row matrix
+nests none.  The first schedule nests as deep as any, so a partition too
+deep for the interpreter's recursion limit raises
 :class:`~blockpar.errors.ResourceCapError` before the first schedule.
 """
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from itertools import chain, combinations, filterfalse, islice, permutations
+from itertools import chain, combinations, filterfalse, islice, permutations, repeat
 from math import comb, factorial, gcd, lcm
 from operator import methodcaller
 from typing import Iterable, Iterator, Optional
@@ -159,6 +163,24 @@ def _fill_count(kind: str, j: int, m: int, budget: int) -> int:
     return total * budget // j
 
 
+def _one_row(labels: tuple, budget: int) -> Iterator[tuple]:
+    """The fillings of a one-row matrix holding ``labels``, written in
+    ascending order, as that row: the permutations of ``labels`` in
+    lexicographic order of positions whose first label, the matrix minimum,
+    lies within the first ``budget`` positions.
+
+    These are the rows :func:`_fill_rows` and :func:`_fill_columns_shifted`
+    give for ``m = 1``, in their order, built by ``itertools`` without a
+    generator per column.
+    """
+    if budget >= len(labels):
+        return permutations(labels)
+    first, rest = labels[:1], labels[1:]
+    leads = (map((lead,).__add__, _one_row(first + rest[:i] + rest[i + 1:], budget - 1))
+             for i, lead in enumerate(rest)) if budget > 1 else ()
+    return chain(map(first.__add__, permutations(rest)), chain.from_iterable(leads))
+
+
 class _Field(int):
     """Matrix index ``k`` standing in for the matrix's ``k``-th smallest
     member: it orders as ``k`` and prints as the ``str.format`` field
@@ -174,6 +196,12 @@ def _rows_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool
     return tuple(sorted(rows))
 
 
+def _rows_row(labels: tuple[int, ...], budget: int, opens: bool, closes: bool
+              ) -> Iterator[tuple[tuple[int, ...]]]:
+    """The fillings of a one-row matrix as their one o-block each."""
+    return zip(_one_row(labels, budget))
+
+
 def _rows_relabel(templates: Iterable[tuple[tuple[int, ...], ...]],
                   labels: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Each template's rows with field ``k`` replaced by ``labels[k]``, lazily."""
@@ -186,17 +214,31 @@ def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) ->
     return format_oblocks(sorted(rows), opens, closes)
 
 
+def _text_row(labels: tuple[int, ...], budget: int, opens: bool, closes: bool
+              ) -> Iterator[str]:
+    """The fillings of a one-row matrix as their pieces of the schedule text:
+    each label is turned into a string once, and each piece is the opening,
+    the row's strings joined by commas, and the closing."""
+    rows = map(",".join, _one_row(tuple(map(str, labels)), budget))
+    return map("".join, zip(repeat("[[" if opens else ",["), rows,
+                            repeat("]]" if closes else "]")))
+
+
 def _text_relabel(templates: Iterable[str], labels: tuple[int, ...]) -> Iterator[str]:
     """Each text template with field ``{k}`` filled by ``labels[k]``, lazily."""
     return map(methodcaller("format", *labels), templates)
 
 
-#: A renderer is a pair: ``render(rows, opens, closes)`` renders one matrix
-#: filling to its piece, and ``relabel(templates, labels)`` turns the pieces
-#: rendered from fillings of :class:`_Field` indices into the pieces of the
-#: matrix whose ``k``-th smallest member is ``labels[k]``.
-_ROWS = (_rows_piece, _rows_relabel)
-_TEXT = (_text_piece, _text_relabel)
+#: A renderer is a triple:
+#:
+#: * ``piece(rows, opens, closes)`` renders one filling of a matrix;
+#: * ``row(labels, budget, opens, closes)`` renders every filling of a
+#:   one-row matrix holding ``labels``, as :func:`_one_row` lists them;
+#: * ``relabel(templates, labels)`` turns the pieces rendered from fillings
+#:   of :class:`_Field` indices into the pieces of the matrix whose ``k``-th
+#:   smallest member is ``labels[k]``.
+_ROWS = (_rows_piece, _rows_row, _rows_relabel)
+_TEXT = (_text_piece, _text_row, _text_relabel)
 
 
 def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Iterator:
@@ -205,6 +247,8 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
 
     Pieces are concatenated smallest part size first, which is the canonical
     o-block order; ``opens`` marks the first piece and ``closes`` the last.
+    A one-row matrix gets its fillings from :func:`_one_row`; the others
+    from the filler of ``kind``.
 
     A matrix with at most ``_MATERIALIZE_LIMIT`` fillings is filled once per
     partition, over :class:`_Field` indices, and each content choice
@@ -214,7 +258,7 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
     matrix with more fillings, or filled only once because it is ``p``'s only
     part size, streams its fillings.
     """
-    render, relabel = renderer
+    piece, row, relabel = renderer
     sizes = [(j, p.m(j)) for j in p.part_sizes()]
     if kind == CLASS_BP_STAR:
         budgets = min_column_budgets(p)
@@ -222,14 +266,18 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
         budgets = {j: j for j, _ in sizes}
     last = len(sizes) - 1
 
-    def fillings(elements, j, m):
+    def pieces(elements, j, m, opens, closes) -> Iterator:
+        """Every filling of the ``m x j`` matrix holding ``elements``, rendered."""
+        if m == 1:
+            return row(elements, budgets[j], opens, closes)
         if kind == CLASS_BP:
-            return _fill_rows(elements, j, m)
-        return _fill_columns_shifted(elements, j, m, budgets[j])
+            fillings = _fill_rows(elements, j, m)
+        else:
+            fillings = _fill_columns_shifted(elements, j, m, budgets[j])
+        return map(piece, fillings, repeat(opens), repeat(closes))
 
     templates = [
-        [render(rows, idx == last, idx == 0)
-         for rows in fillings(tuple(map(_Field, range(j * m))), j, m)]
+        list(pieces(tuple(map(_Field, range(j * m))), j, m, idx == last, idx == 0))
         if last > 0 and _fill_count(kind, j, m, budgets[j]) <= _MATERIALIZE_LIMIT
         else None
         for idx, (j, m) in enumerate(sizes)
@@ -240,8 +288,7 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
         closes = idx == 0
         if idx == last:
             if templates[idx] is None:
-                for rows in fillings(remaining, j, m):
-                    yield render(rows, True, closes)
+                yield from pieces(remaining, j, m, True, closes)
             else:
                 yield from relabel(templates[idx], remaining)
             return
@@ -249,14 +296,13 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
         for chosen in combinations(remaining, j * m):
             rest = _without(remaining, chosen)
             if templates[idx] is None:
-                for rows in fillings(chosen, j, m):
-                    piece = render(rows, False, closes)
+                for head in pieces(chosen, j, m, False, closes):
                     for tail in rec(rest, nxt):
-                        yield tail + piece
+                        yield tail + head
             else:
-                pieces = list(relabel(templates[idx], chosen))
+                heads = list(relabel(templates[idx], chosen))
                 for tail in rec(rest, nxt):
-                    yield from map(tail.__add__, pieces)
+                    yield from map(tail.__add__, heads)
 
     def stream() -> Iterator:
         try:

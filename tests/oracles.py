@@ -10,7 +10,8 @@ import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from blockpar import phi, update_block
+from blockpar import counting, phi, update_block
+from blockpar.partitions import Partition
 
 
 @lru_cache(maxsize=None)
@@ -42,6 +43,23 @@ def partitions_ascending(n: int) -> set[tuple[int, ...]]:
                 yield (first,) + rest
 
     return set(rec(n, 1))
+
+
+def partition_sums(n: int) -> dict[str, int]:
+    """The ``count`` columns of ``n`` as sums of the per-partition terms over
+    :func:`partitions_ascending`; where a term has several closed forms, they
+    must agree term by term."""
+    sums = dict.fromkeys(("bs", "bp", "bp0", "bp_star"), 0)
+    for parts in partitions_ascending(n):
+        p = Partition.from_parts(parts)
+        bp0 = counting.bp0_term(p)
+        assert counting.bp_term(p) == counting.bp_term_product(p)
+        assert bp0 == counting.bp0_term_columns(p) == counting.bp0_term_matrices(p)
+        sums["bs"] += counting.bs_term(p)
+        sums["bp"] += counting.bp_term(p)
+        sums["bp0"] += bp0
+        sums["bp_star"] += counting.bp_star_term(p)
+    return sums
 
 
 def set_partitions(items):

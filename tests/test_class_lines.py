@@ -2,13 +2,16 @@
 plus ``serialize_schedule``, relabelled filling templates, the bounded
 ``--threads`` window, and the bytes ``blockpar enum`` writes.
 
-The pinned digests were taken from the CLI before schedule lines were built
-from text pieces, when every line went through ``json.dumps``.
+The n = 7 digests were taken from the CLI before schedule lines were built
+from text pieces, when every line went through ``json.dumps``; the n = 9 and
+10 digests and the ``count`` digests before one-row matrices took their
+fillings from permutations and before the count table was built in one pass
+over part sizes.
 """
 
 import hashlib
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -47,6 +50,77 @@ def test_enum_partition_limit_bytes_pinned(capsys):
     assert stdout_sha256(capsys, argv) == (
         "fd7f7ca38233faf96dd5beb9df13a15d069e1b7972c567c52c8bef0c2ee38c56"
     )
+
+
+#: ``blockpar enum N --class K``: in each, the single matrix of ``(N,)``
+#: streams its one-row fillings, and other partitions hold one-row templates.
+ENUM_LARGE = {
+    ("10", "bpstar"): "c9a50d5caeb5d0ad8b2469732d0be6a6bb38144df4556ad5082471d65984b547",
+    ("9", "bp0"): "9993362d26c2cf0489c1dc9dd65bb48ce6e5095f887a50cee2b885ab9137e811",
+    ("9", "bp"): "81142c9df9a42ee95930a5ee8df2d42cdba7ca57b9ebf125a7bc8c385233acdd",
+}
+
+
+@pytest.mark.parametrize("n, kind", ENUM_LARGE)
+def test_enum_large_bytes_pinned(n, kind):
+    # ``blockpar enum`` writes each line of ``class_lines`` and a newline;
+    # hashing them in chunks holds no whole output.
+    lines = class_lines(int(n), kind)
+    digest = hashlib.sha256()
+    while chunk := list(islice(lines, 4096)):
+        digest.update(("\n".join(chunk) + "\n").encode())
+    assert digest.hexdigest() == ENUM_LARGE[n, kind]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["count", "40"], "f872af68d8d5db8ed1a9a1093c8c0130f72e378be04562091dc2f98f7f54daae"),
+    (["count", "12", "--format", "json"],
+     "8c7d9c4001ae432ed902658c708cb1e8e59f24dfff36df094ede0c7b7290ff3d"),
+], ids=["count-40-csv", "count-12-json"])
+def test_count_bytes_pinned(capsys, argv, digest):
+    assert stdout_sha256(capsys, argv) == digest
+
+
+def _filled_one_row(renderer: tuple, kind: str) -> tuple:
+    """``renderer`` with its one-row path replaced by the filler of ``kind``
+    and the per-filling ``piece``, the way every matrix was rendered before
+    one-row matrices took their fillings from permutations."""
+    piece, _, relabel = renderer
+
+    def row(labels, budget, opens, closes):
+        if kind == "bp":
+            fillings = enumeration._fill_rows(labels, len(labels), 1)
+        else:
+            fillings = enumeration._fill_columns_shifted(labels, len(labels), 1, budget)
+        return (piece(rows, opens, closes) for rows in fillings)
+
+    return piece, row, relabel
+
+
+@pytest.mark.parametrize("limit", [0, 6, 90, enumeration._MATERIALIZE_LIMIT])
+@pytest.mark.parametrize("kind", CLASSES)
+def test_one_row_fillings_match_the_fillers(kind, limit, monkeypatch):
+    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
+    for renderer in (enumeration._TEXT, enumeration._ROWS):
+        reference = _filled_one_row(renderer, kind)
+        for n in range(1, 9):
+            for p in partitions_of(n):
+                if 1 not in map(p.m, p.part_sizes()):
+                    continue
+                streams = (enumeration._partition_stream(n, p, kind, renderer),
+                           enumeration._partition_stream(n, p, kind, reference))
+                assert all(a == b for a, b in zip_longest(*streams)), (p, limit)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_one_row_is_the_column_filler_with_one_row(length):
+    labels = tuple(range(3, 3 + 2 * length, 2))
+    for budget in range(1, length + 1):
+        expected = [rows[0] for rows in
+                    enumeration._fill_columns_shifted(labels, length, 1, budget)]
+        assert list(enumeration._one_row(labels, budget)) == expected
+    assert list(enumeration._one_row(labels, length)) \
+        == [rows[0] for rows in enumeration._fill_rows(labels, length, 1)]
 
 
 @pytest.mark.parametrize("kind", CLASSES)

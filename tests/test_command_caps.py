@@ -1,5 +1,5 @@
 """Every way a command ends has a documented exit code: deep enumeration
-partitions and oversized gadgets exit 5, an unexpected exception exits 6,
+partitions, oversized gadgets and oversized count tables exit 5, an unexpected exception exits 6,
 and a serial ``enum`` never loads the process pool."""
 
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import blockpar
-from blockpar import dynamics, enumeration
+from blockpar import cli, counting, dynamics, enumeration
 from blockpar.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE_CAP, main
 from blockpar.errors import ResourceCapError
 from blockpar.partitions import Partition, gadget_primes
@@ -29,10 +29,10 @@ def _run(*argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["enum", "990", "--class", "bp0", "--limit", "1"],
-    ["enum", "1200", "--class", "bpstar", "--limit", "1"],
+    ["enum", "2000", "--class", "bp0", "--partition", "1000+1000", "--limit", "1"],
+    ["enum", "3000", "--class", "bpstar", "--partition", "1500+1500", "--limit", "1"],
     ["enum", "2000", "--class", "bp", "--partition", TWOS, "--limit", "1"],
-], ids=["bp0-990", "bpstar-1200", "bp-1000-twos"])
+], ids=["bp0-1000+1000", "bpstar-1500+1500", "bp-1000-twos"])
 def test_deep_partition_exits_on_the_cap(argv):
     result = _run(*argv)
     assert result.returncode == EXIT_RESOURCE_CAP
@@ -48,14 +48,35 @@ def test_wide_one_row_partition_still_streams():
     assert result.stdout == "[[" + ",".join(map(str, range(1200))) + "]]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enum", "990", "--class", "bp0", "--limit", "1"],
+    ["enum", "1200", "--class", "bpstar", "--limit", "1"],
+], ids=["bp0-990", "bpstar-1200"])
+def test_one_row_partition_streams(argv):
+    # The first partition, (n,), is one row: its fillings are permutations,
+    # which nest no generator per column.
+    result = _run(*argv)
+    assert result.returncode == EXIT_OK
+    assert result.stdout == "[[" + ",".join(map(str, range(int(argv[1])))) + "]]\n"
+
+
 @pytest.mark.parametrize("kind, parts", [
-    ("bp", (2,) * 1500), ("bp0", (3000,)), ("bpstar", (3000,)),
+    ("bp", (2,) * 1500), ("bp0", (1500, 1500)), ("bpstar", (1500, 1500)),
 ])
 def test_deep_stream_raises_before_the_first_schedule(kind, parts):
     partition = Partition.from_parts(parts)
     for stream in (enumeration.class_lines, enumeration.enum_class):
         with pytest.raises(ResourceCapError, match="recursion limit"):
             next(stream(3000, kind, partition))
+
+
+@pytest.mark.parametrize("kind", ["bp", "bp0", "bpstar"])
+def test_one_row_stream_yields_its_first_schedule(kind):
+    partition = Partition.from_parts((3000,))
+    first = tuple(range(3000))
+    assert next(enumeration.class_lines(3000, kind, partition)) \
+        == "[[" + ",".join(map(str, first)) + "]]"
+    assert next(enumeration.enum_class(3000, kind, partition)).oblocks == (first,)
 
 
 @pytest.mark.parametrize("cap", [3, 10, 100, 5000, dynamics.GADGET_AUTOMATA_CAP])
@@ -86,6 +107,48 @@ def test_gadget_command_below_and_above_the_cap(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: counter gadget for n=200 has more than 1048576 automata\n"
+
+
+def test_count_cap(monkeypatch, capsys):
+    assert counting.COUNT_N_CAP >= 60
+    assert main(["count", str(counting.COUNT_N_CAP + 1)]) == EXIT_RESOURCE_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: count table up to n={counting.COUNT_N_CAP + 1}"
+                            f" is above the cap of n={counting.COUNT_N_CAP}\n")
+    monkeypatch.setattr(counting, "COUNT_N_CAP", 4)
+    assert main(["count", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "4,75,73,67,24,31"
+    assert main(["count", "5"]) == EXIT_RESOURCE_CAP
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_refuses_a_drain_above_the_cap(monkeypatch, capsys):
+    drains = []
+    monkeypatch.setattr(enumeration, "class_count",
+                        lambda n, kind, workers: drains.append(kind) or 0)
+    # bench 3 drains 17 bp, 17 bp0 and 9 bpstar schedules per repeat.
+    monkeypatch.setattr(cli, "BENCH_DRAIN_CAP", 86)
+    assert main(["bench", "3", "--repeats", "2"]) == EXIT_OK
+    assert len(drains) == 18
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "BENCH_DRAIN_CAP", 85)
+    assert main(["bench", "3", "--repeats", "2"]) == EXIT_RESOURCE_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bench up to n=3 drains 86 schedules, above the cap of 85\n"
+    assert main(["bench", "3", "--classes", "bpstar", "--repeats", "9"]) == EXIT_OK
+    assert main(["bench", "3", "--classes", "bpstar", "--repeats", "10"]) \
+        == EXIT_RESOURCE_CAP
+    assert len(drains) == 18 + 27
+
+
+@pytest.mark.parametrize("argv", [["bench", "10"], ["bench", "1000", "--classes", "bpstar"]])
+def test_bench_above_the_default_caps_exits_before_draining(argv):
+    result = _run(*argv)
+    assert result.returncode == EXIT_RESOURCE_CAP
+    assert result.stdout == ""
+    assert "above the cap" in result.stderr
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):

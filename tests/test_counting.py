@@ -1,5 +1,6 @@
 import pytest
 
+from blockpar import counting
 from blockpar.counting import (
     bp0_term,
     bp0_term_columns,
@@ -14,8 +15,10 @@ from blockpar.counting import (
     count_bp_star,
     count_bs,
     count_bs_inter_bp,
+    count_table,
     egf_coefficients,
 )
+from blockpar.errors import CrossCheckError
 from blockpar.partitions import partitions_of
 from blockpar.schedule import BlockSequence, is_bs_intersection
 
@@ -114,3 +117,59 @@ def test_exact_at_larger_sizes():
     assert value > 2**128
     assert isinstance(value, int)
     assert count_bp_star(40) <= count_bp0(40) <= value
+
+
+def test_count_table_matches_the_partition_sums():
+    for n, bs, bp, bp0, bp_star, bs_inter_bp in count_table(30):
+        assert oracles.partition_sums(n) == {"bs": bs, "bp": bp, "bp0": bp0,
+                                             "bp_star": bp_star}, n
+        assert bs_inter_bp == count_bs_inter_bp(n)
+        if n in (1, 2, 7, 19, 30):
+            assert (count_bs(n), count_bp(n), count_bp0(n), count_bp_star(n),
+                    count_bp0_via_egf(n)) == (bs, bp, bp0, bp_star, bp0)
+
+
+def _off_by_one(counts):
+    """``counts`` with its last entry, or one state of its last size, plus one."""
+    counts = list(counts)
+    last = counts[-1]
+    if isinstance(last, dict):
+        last = dict(last)
+        key = next(iter(last))
+        last[key] += 1
+        counts[-1] = last
+    else:
+        counts[-1] = last + 1
+    return counts
+
+
+ROUTES = {
+    "_bs_recurrence": count_bs,
+    "_bs_stirling": count_bs,
+    "_bp_recurrence": count_bp,
+    "_bp_knapsack": count_bp,
+    "_lcm_states_direct": count_bp_star,
+    "_lcm_states_columns": count_bp_star,
+    "_bp0_via_egf": count_bp0,
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_route_off_by_one_is_a_cross_check_error(route, monkeypatch):
+    original = getattr(counting, route)
+    monkeypatch.setattr(counting, route, lambda n_max: _off_by_one(original(n_max)))
+    with pytest.raises(CrossCheckError, match="routes disagree"):
+        count_table(12)
+    with pytest.raises(CrossCheckError, match="routes disagree"):
+        ROUTES[route](12)
+
+
+def test_bp_star_state_not_divisible_by_its_lcm(monkeypatch):
+    # Both routes agree on a state that its lcm does not divide, and the
+    # bp0 total still matches the generating function.
+    states = counting._lcm_states_direct(4)
+    states[4] = {**states[4], 1: states[4][1] - 1, 2: states[4][2] + 1}
+    for route in ("_lcm_states_direct", "_lcm_states_columns"):
+        monkeypatch.setattr(counting, route, lambda n_max: states)
+    with pytest.raises(CrossCheckError, match="bp_star term"):
+        count_bp_star(4)

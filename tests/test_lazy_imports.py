@@ -43,16 +43,30 @@ print(status, after_import, after_check)
 """
 
 
+def _env() -> dict:
+    """The environment of a probe process, with this package importable."""
+    source = str(Path(blockpar.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+
 def test_check_loads_no_enumeration_counting_or_pool(tmp_path):
     network = tmp_path / "identity.bn"
     network.write_text("x0 = x0\nx1 = x1\n")
-    source = str(Path(blockpar.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [source, os.environ.get("PYTHONPATH")]))}
     probe = PROBE.format(heavy=HEAVY, network=str(network))
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines() == ["true", "0 [] []"]
+
+
+def test_counting_loads_fractions_only_for_the_egf_route():
+    probe = ("import sys, blockpar.counting as c;"
+             " before = 'fractions' in sys.modules;"
+             " c.count_bp0_via_egf(3);"
+             " print(before, 'fractions' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_every_public_name_is_its_home_modules_object():
