@@ -5,7 +5,15 @@ one block update per substep; an automaton in a short o-block is updated many
 times per step.  The scalar kernel, ``_trajectory``, runs the substeps of
 :meth:`PartitionedOrder.substeps` from one configuration; ``step`` and
 ``step_trace`` read it one configuration at a time, and it is the oracle
-for the whole-space evaluator.  That evaluator, ``_images``, is
+for the whole-space evaluator.  The kernel stops once the configuration has
+stood still for ``L`` substeps in a row, ``L`` the length of the longest
+o-block.  That is exact: an o-block of length ``j <= L`` updates each of its
+members once in any ``j`` consecutive substeps, so in those ``L`` substeps
+every local agreed with the configuration, and every substep left is the
+identity.  ``step_trace`` repeats the settled configuration to its full
+length.  The paper shows that computing one image is PSPACE-complete, so
+no shortcut holds in general; this one only skips substeps that cannot
+change anything.  The whole-space evaluator, ``_images``, is
 bit-sliced: it holds all ``2**n`` configurations as ``n`` bit-planes (one
 Python int per automaton, one bit per configuration), runs each substep once
 over every plane, and transposes the planes back into one image per
@@ -83,38 +91,51 @@ def _check_call(f: BooleanNetwork, mu: PartitionedOrder, cap: Optional[int],
     check_substeps(mu, cap)
 
 
-def _trajectory(compiled, substeps: Iterable[tuple[int, ...]], x: int
-                ) -> Iterator[int]:
-    """The substep kernel: the configuration after each substep, from ``x``."""
-    for block in substeps:
+def _trajectory(compiled, mu: PartitionedOrder, x: int) -> Iterator[int]:
+    """The substep kernel: the configuration after each substep of one step
+    from ``x``, until it has stood still for one longest o-block (after which
+    every substep is the identity; see the module docstring)."""
+    window = max(map(len, mu.oblocks))
+    quiet = 0
+    for block in mu.substeps():
         nxt = x
         for i in block:
             if compiled[i](x):
                 nxt |= 1 << i
             else:
                 nxt &= ~(1 << i)
+        quiet = quiet + 1 if nxt == x else 0
         x = nxt
         yield x
+        if quiet == window:
+            return
 
 
-def _image(compiled, substeps: Iterable[tuple[int, ...]], x: int) -> int:
-    # A deque of length one keeps only the last configuration: a gadget step
-    # runs hundreds of thousands of substeps.
-    return deque(_trajectory(compiled, substeps, x), maxlen=1)[0]
+def _image(compiled, mu: PartitionedOrder, x: int) -> int:
+    # A deque of length one keeps only the last configuration: a step that
+    # never settles may run hundreds of thousands of substeps.
+    return deque(_trajectory(compiled, mu, x), maxlen=1)[0]
 
 
 def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
          cap: Optional[int] = DEFAULT_BLOCK_CAP) -> int:
     """Image of ``x`` after one full step: all substep block updates in order."""
     _check_call(f, mu, cap, x)
-    return _image(f.compiled(), mu.substeps(), x)
+    return _image(f.compiled(), mu, x)
 
 
 def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> list[int]:
-    """``x`` followed by the configuration after each substep (length lcm+1)."""
+    """``x`` followed by the configuration after each substep (length lcm+1).
+
+    Once the kernel stops, the settled configuration fills the rest."""
     _check_call(f, mu, cap, x)
-    return [x, *_trajectory(f.compiled(), mu.substeps(), x)]
+    length = mu.lcm() + 1
+    if length > sys.maxsize:
+        raise ResourceCapError(f"a trace of {length} configurations does not fit in a list")
+    trace = [x, *_trajectory(f.compiled(), mu, x)]
+    trace.extend(repeat(trace[-1], length - len(trace)))
+    return trace
 
 
 def _cube_planes(n: int, base: int, width: int) -> tuple[list[int], int]:
@@ -335,7 +356,7 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
                 f"orbit search exceeds the step cap of {step_cap}"
             )
         seen.add(cur)
-        cur = _image(compiled, mu.substeps(), cur)
+        cur = _image(compiled, mu, cur)
 
 
 def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,

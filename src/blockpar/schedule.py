@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import cycle, filterfalse, islice
+from itertools import compress, cycle, filterfalse, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceCapError, ScheduleFormatError
@@ -121,7 +121,8 @@ class PartitionedOrder:
         At substep ``t`` every o-block contributes its element at position
         ``t mod len(o-block)``; the tuple lists them in o-block order.
         """
-        return islice(zip(*map(cycle, self.oblocks)), self.lcm())
+        # Every selector is true; a range, unlike islice, counts past sys.maxsize.
+        return compress(zip(*map(cycle, self.oblocks)), range(1, self.lcm() + 1))
 
     def support(self) -> Partition:
         """The integer partition given by the o-block lengths."""
