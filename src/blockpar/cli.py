@@ -21,7 +21,7 @@ import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
 from .network import BooleanNetwork, format_config, parse_config, parse_network, serialize_network
@@ -111,11 +111,16 @@ def _load_schedule(source: str, n: Optional[int] = None) -> PartitionedOrder:
 
 
 @contextmanager
-def _out_stream(args) -> Iterator[TextIO]:
-    """The command's output: the ``--out`` file, closed afterwards, or stdout."""
+def _out_stream(args, binary: bool = False) -> Iterator:
+    """The command's output: the ``--out`` file, closed afterwards, or stdout;
+    with ``binary``, their bytes layers."""
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(args.out, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as handle:
             yield handle
+    elif binary:
+        sys.stdout.flush()
+        yield sys.stdout.buffer
     else:
         yield sys.stdout
 
@@ -129,6 +134,31 @@ def _write_chunks(stream: TextIO, pieces: Iterable[str], end: str = "") -> int:
         stream.write(end.join(chunk) + end)
         written += len(chunk)
     return written
+
+
+def _write_lines(stream: BinaryIO, chunks: Iterable[bytes], limit: Optional[int] = None
+                 ) -> int:
+    """Write the newline-terminated lines of ``chunks``, up to ``limit`` of
+    them, joining chunks until a ``write`` holds at least ``WRITE_CHUNK``
+    lines; return how many were written."""
+    left = sys.maxsize if limit is None else limit
+    written = held = 0
+    pending: list[bytes] = []
+    for chunk in chunks:
+        lines = chunk.count(b"\n")
+        if lines >= left - held:
+            keep = left - held
+            pending.append(chunk[:len(chunk) - len(chunk.split(b"\n", keep)[-1])])
+            held += keep
+            break
+        pending.append(chunk)
+        held += lines
+        if held >= WRITE_CHUNK:
+            stream.write(b"".join(pending))
+            written, left, held, pending = written + held, left - held, 0, []
+    if held:
+        stream.write(b"".join(pending))
+    return written + held
 
 
 def _write_json(stream: TextIO, document) -> None:
@@ -194,13 +224,13 @@ def cmd_enum(args) -> dict:
 
     partition = Partition.parse(args.partition) if args.partition else None
     if args.threads > 1 and partition is None and args.limit is None:
-        lines = enumeration.sharded_lines(args.n, args.klass, args.threads)
+        chunks = enumeration.sharded_chunks(args.n, args.klass, args.threads)
     else:
-        lines = enumeration.class_lines(args.n, args.klass, partition)
+        chunks = enumeration.class_chunks(args.n, args.klass, partition, WRITE_CHUNK)
     # Closing the stream at once ends a --threads pool even when the reader
     # has gone away mid-stream.
-    with _out_stream(args) as stream, closing(lines):
-        emitted = _write_chunks(stream, islice(lines, args.limit), "\n")
+    with _out_stream(args, binary=True) as stream, closing(chunks):
+        emitted = _write_lines(stream, chunks, args.limit)
     print(f"count={emitted}", file=sys.stderr)
     return {"count": emitted}
 

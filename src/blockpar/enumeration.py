@@ -26,16 +26,30 @@ part size first, which is the canonical o-block order.
 Fillings commute with increasing relabelling: the fillings of a content
 ``chosen`` are those of the matrix indices ``0 .. j*m - 1`` with index ``k``
 read as ``chosen[k]``.  So one recursion fills each matrix once per
-partition, over its indices, and keeps the rendered fillings as templates;
-each content choice then costs one relabel per filling and no filling
-recursion.  Matrices with too many fillings to hold, and a partition's only
-part size, stream their fillings instead.  :func:`enum_class` renders a
-filling as its sorted rows and wraps them in a :class:`PartitionedOrder`;
-:func:`class_lines` renders it as its piece of the schedule text, a
-``str.format`` template when it is relabelled, so each line is already
-``serialize_schedule(mu)``.  :func:`sharded_lines` spreads the partitions of
-``n`` over a process pool, at most ``workers`` partitions in flight;
-``multiprocessing`` is imported only when a pool starts.
+partition, over its indices, and keeps those fillings as templates; each
+content choice then relabels them and runs no filling recursion.  Matrices
+with too many fillings to hold, and a partition's only part size, stream
+their fillings instead.  :func:`enum_class` wraps each schedule's sorted
+rows in a :class:`PartitionedOrder`.
+
+:func:`class_chunks` gives the schedule text, each line
+``serialize_schedule(mu)`` and a newline, as ``bytes`` chunks of whole
+lines, and renders a partition a block at a time where it can.  If every
+matrix holds templates, the lines of one content choice are the product of
+the matrices' templates: one block.  The block is rendered once per
+partition with every index written as placeholder bytes, one per decimal
+place of ``n - 1``, taken from the bytes schedule text never holds; each
+content choice is then one ``bytes.translate`` that writes its labels'
+digits and deletes the places a shorter label leaves empty.  The one matrix
+of a one-size partition with two or more rows and columns streams its first
+column (for ``bp``, the members of the row holding 0) as the content choice
+and takes the fillings of the rest as the block.  The partitions left over
+-- a matrix above ``_MATERIALIZE_LIMIT`` fillings or a block above that many
+lines, a one-row or one-column matrix alone, more indices than placeholders
+-- stream line by line, in chunks.  :func:`class_lines` is a line view of
+the chunks.  :func:`sharded_chunks` spreads the partitions of ``n`` over a
+process pool, one chunk per partition and at most ``workers`` partitions in
+flight; ``multiprocessing`` is imported only when a pool starts.
 
 A stream nests one generator per part size and a filler of a matrix with
 two or more rows one more per column (per row for ``bp``); a one-row matrix
@@ -47,10 +61,12 @@ deep for the interpreter's recursion limit raises
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import deque
-from itertools import chain, combinations, filterfalse, islice, permutations, repeat
-from math import comb, factorial, gcd, lcm
-from operator import methodcaller
+from itertools import (
+    chain, combinations, compress, filterfalse, islice, permutations, product, repeat, starmap,
+)
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceCapError
@@ -181,13 +197,24 @@ def _one_row(labels: tuple, budget: int) -> Iterator[tuple]:
     return chain(map(first.__add__, permutations(rest)), chain.from_iterable(leads))
 
 
-class _Field(int):
-    """Matrix index ``k`` standing in for the matrix's ``k``-th smallest
-    member: it orders as ``k`` and prints as the ``str.format`` field
-    ``{k}``, so a filling of fields renders to a text template."""
+def _matrices(p: Partition, kind: str) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """``p``'s matrices as ``(part size, multiplicity)``, largest size first,
+    and the column budget of each part size under ``kind``."""
+    sizes = [(j, p.m(j)) for j in p.part_sizes()]
+    if kind == CLASS_BP_STAR:
+        return sizes, min_column_budgets(p)
+    return sizes, {j: j for j, _ in sizes}
 
-    def __str__(self) -> str:
-        return f"{{{int(self)}}}"
+
+def _fillings(kind: str, elements: tuple[int, ...], j: int, m: int, budget: int
+              ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every filling of the ``m x j`` matrix holding ``elements``, as rows,
+    in the order of the filler of ``kind``."""
+    if m == 1:
+        return zip(_one_row(elements, budget))
+    if kind == CLASS_BP:
+        return _fill_rows(elements, j, m)
+    return _fill_columns_shifted(elements, j, m, budget)
 
 
 def _rows_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool
@@ -203,30 +230,34 @@ def _rows_row(labels: tuple[int, ...], budget: int, opens: bool, closes: bool
 
 
 def _rows_relabel(templates: Iterable[tuple[tuple[int, ...], ...]],
-                  labels: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Each template's rows with field ``k`` replaced by ``labels[k]``, lazily."""
+                  labels: tuple[int, ...], opens: bool, closes: bool
+                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each template's rows with index ``k`` replaced by ``labels[k]``, lazily."""
     get = labels.__getitem__
     return (tuple([tuple(map(get, row)) for row in rows]) for rows in templates)
 
 
-def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) -> str:
+def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) -> bytes:
     """A matrix filling as its piece of the schedule text."""
-    return format_oblocks(sorted(rows), opens, closes)
+    return format_oblocks(sorted(rows), opens, closes).encode()
 
 
 def _text_row(labels: tuple[int, ...], budget: int, opens: bool, closes: bool
-              ) -> Iterator[str]:
+              ) -> Iterator[bytes]:
     """The fillings of a one-row matrix as their pieces of the schedule text:
-    each label is turned into a string once, and each piece is the opening,
-    the row's strings joined by commas, and the closing."""
-    rows = map(",".join, _one_row(tuple(map(str, labels)), budget))
-    return map("".join, zip(repeat("[[" if opens else ",["), rows,
-                            repeat("]]" if closes else "]")))
+    each label is turned into bytes once, and each piece is the opening,
+    the row's labels joined by commas, and the closing."""
+    rows = map(b",".join, _one_row(tuple(b"%d" % label for label in labels), budget))
+    return map(b"".join, zip(repeat(b"[[" if opens else b",["), rows,
+                             repeat(b"]]" if closes else b"]")))
 
 
-def _text_relabel(templates: Iterable[str], labels: tuple[int, ...]) -> Iterator[str]:
-    """Each text template with field ``{k}`` filled by ``labels[k]``, lazily."""
-    return map(methodcaller("format", *labels), templates)
+def _text_relabel_rows(templates: Iterable[tuple[tuple[int, ...], ...]],
+                       labels: tuple[int, ...], opens: bool, closes: bool
+                       ) -> Iterator[bytes]:
+    """Each template relabelled by :func:`_rows_relabel`, as its piece of text."""
+    return map(_text_piece, _rows_relabel(templates, labels, opens, closes),
+               repeat(opens), repeat(closes))
 
 
 #: A renderer is a triple:
@@ -234,11 +265,11 @@ def _text_relabel(templates: Iterable[str], labels: tuple[int, ...]) -> Iterator
 #: * ``piece(rows, opens, closes)`` renders one filling of a matrix;
 #: * ``row(labels, budget, opens, closes)`` renders every filling of a
 #:   one-row matrix holding ``labels``, as :func:`_one_row` lists them;
-#: * ``relabel(templates, labels)`` turns the pieces rendered from fillings
-#:   of :class:`_Field` indices into the pieces of the matrix whose ``k``-th
-#:   smallest member is ``labels[k]``.
+#: * ``relabel(templates, labels, opens, closes)`` renders the fillings of
+#:   the matrix whose ``k``-th smallest member is ``labels[k]`` from the
+#:   fillings of its indices, ``templates``.
 _ROWS = (_rows_piece, _rows_row, _rows_relabel)
-_TEXT = (_text_piece, _text_row, _text_relabel)
+_TEXT = (_text_piece, _text_row, _text_relabel_rows)
 
 
 def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Iterator:
@@ -251,36 +282,30 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
     from the filler of ``kind``.
 
     A matrix with at most ``_MATERIALIZE_LIMIT`` fillings is filled once per
-    partition, over :class:`_Field` indices, and each content choice
-    relabels those templates.  Above the last matrix, the relabelled pieces
-    are listed per content choice, so the subtree below is walked once per
-    choice, not once per filling; the last matrix is relabelled lazily.  A
-    matrix with more fillings, or filled only once because it is ``p``'s only
-    part size, streams its fillings.
+    partition, over its indices, and each content choice relabels those
+    templates.  Above the last matrix, the relabelled pieces are listed per
+    content choice, so the subtree below is walked once per choice, not once
+    per filling; the last matrix is relabelled once per choice of the
+    matrices above it.  A matrix with more fillings, or filled only once
+    because it is ``p``'s only part size, streams its fillings.
     """
     piece, row, relabel = renderer
-    sizes = [(j, p.m(j)) for j in p.part_sizes()]
-    if kind == CLASS_BP_STAR:
-        budgets = min_column_budgets(p)
-    else:
-        budgets = {j: j for j, _ in sizes}
+    sizes, budgets = _matrices(p, kind)
     last = len(sizes) - 1
 
     def pieces(elements, j, m, opens, closes) -> Iterator:
         """Every filling of the ``m x j`` matrix holding ``elements``, rendered."""
         if m == 1:
             return row(elements, budgets[j], opens, closes)
-        if kind == CLASS_BP:
-            fillings = _fill_rows(elements, j, m)
-        else:
-            fillings = _fill_columns_shifted(elements, j, m, budgets[j])
+        fillings = _fillings(kind, elements, j, m, budgets[j])
         return map(piece, fillings, repeat(opens), repeat(closes))
 
     templates = [
-        list(pieces(tuple(map(_Field, range(j * m))), j, m, idx == last, idx == 0))
+        list(map(_rows_piece, _fillings(kind, tuple(range(j * m)), j, m, budgets[j]),
+                 repeat(False), repeat(False)))
         if last > 0 and _fill_count(kind, j, m, budgets[j]) <= _MATERIALIZE_LIMIT
         else None
-        for idx, (j, m) in enumerate(sizes)
+        for j, m in sizes
     ]
 
     def rec(remaining: tuple[int, ...], idx: int) -> Iterator:
@@ -290,17 +315,20 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
             if templates[idx] is None:
                 yield from pieces(remaining, j, m, True, closes)
             else:
-                yield from relabel(templates[idx], remaining)
+                yield from relabel(templates[idx], remaining, True, closes)
             return
         nxt = idx + 1
         for chosen in combinations(remaining, j * m):
             rest = _without(remaining, chosen)
             if templates[idx] is None:
+                # A templated last matrix is relabelled once, not per head.
+                tails = (list(rec(rest, nxt))
+                         if nxt == last and templates[nxt] is not None else None)
                 for head in pieces(chosen, j, m, False, closes):
-                    for tail in rec(rest, nxt):
+                    for tail in rec(rest, nxt) if tails is None else tails:
                         yield tail + head
             else:
-                heads = list(relabel(templates[idx], chosen))
+                heads = list(relabel(templates[idx], chosen, False, closes))
                 for tail in rec(rest, nxt):
                     yield from map(tail.__add__, heads)
 
@@ -314,6 +342,172 @@ def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Itera
             ) from None
 
     return stream()
+
+
+# ---------------------------------------------------------------------------
+# Schedule text a block at a time
+
+def _placeholders(n: int):
+    """Placeholder bytes for the indices ``0 .. n-1`` of a block of text, and
+    the function that relabels such a block; ``None`` if they do not fit.
+
+    An index takes one placeholder byte per decimal place of ``n - 1``, from
+    the bytes schedule text never holds.  ``relabel(block, labels)`` is one
+    ``bytes.translate``: it writes the digits of ``labels[k]`` into the
+    places of index ``k`` and deletes the leading places that a label with
+    fewer digits leaves empty.
+    """
+    alphabet = bytes(sorted(set(range(256)).difference(b"[],0123456789\n")))
+    width = len(str(n - 1))
+    if width * n > len(alphabet):
+        return None
+    places = [alphabet[i * n:(i + 1) * n] for i in range(width)]
+    slots = [bytes(place[k] for place in places) for k in range(n)]
+    numerals = [str(label).rjust(width) for label in range(n)]
+    padding = bytes(256 - n)
+    digits = [bytes(ord(numeral[i]) for numeral in numerals) + padding
+              for i in range(width)]
+    blanks = [bytes(numeral[i] == " " for numeral in numerals) + padding
+              for i in range(width - 1)]
+    source = b"".join(places)
+
+    def relabel(block: bytes, labels: tuple[int, ...]) -> bytes:
+        key = bytes(labels)
+        table = bytes.maketrans(source, b"".join([key.translate(d) for d in digits]))
+        empty = b"".join([bytes(compress(place, key.translate(blank)))
+                          for place, blank in zip(places, blanks)])
+        return block.translate(table, empty)
+
+    return slots, relabel
+
+
+def _slot_piece(rows: Iterable[tuple[int, ...]], slots: list, opens: bool, closes: bool
+                ) -> bytes:
+    """Rows of indices, in the given order, as text of placeholder bytes."""
+    body = b"],[".join([b",".join(map(slots.__getitem__, row)) for row in rows])
+    return (b"[[" if opens else b",[") + body + (b"]]" if closes else b"]")
+
+
+def _product_blocks(n: int, kind: str, sizes: list, budgets: dict, slots: list):
+    """(block, labels) per content choice of a partition of several part
+    sizes, or ``None`` if a block would hold more than
+    ``_MATERIALIZE_LIMIT`` lines.
+
+    Matrix ``idx`` holds the indices after those of the larger matrices.
+    The block is the product of the matrices' templates, smallest part size
+    outermost as in :func:`_partition_stream`, and ``labels`` the members
+    chosen for each matrix in turn.
+    """
+    counts = [_fill_count(kind, j, m, budgets[j]) for j, m in sizes]
+    if prod(counts) > _MATERIALIZE_LIMIT:
+        return None
+    last = len(sizes) - 1
+    templates, start = [], 0
+    for idx, (j, m) in enumerate(sizes):
+        indices = tuple(range(start, start + j * m))
+        templates.append([_slot_piece(sorted(rows), slots, idx == last, idx == 0)
+                          for rows in _fillings(kind, indices, j, m, budgets[j])])
+        start += j * m
+    block = b"".join(map(b"".join, product(*reversed(templates), [b"\n"])))
+
+    def choices(remaining: tuple[int, ...], idx: int) -> Iterator[tuple[int, ...]]:
+        if idx == last:
+            yield remaining
+            return
+        j, m = sizes[idx]
+        for chosen in combinations(remaining, j * m):
+            for rest in choices(_without(remaining, chosen), idx + 1):
+                yield chosen + rest
+
+    return zip(repeat(block), choices(tuple(range(n)), 0))
+
+
+def _first_column_blocks(n: int, j: int, m: int, budget: int, slots: list):
+    """(block, labels) per first column of the one ``m x j`` column-class
+    matrix, or ``None`` if a block would be too long.
+
+    Indices ``0 .. m-1`` are the first column and the rest fill the other
+    columns, so a block is every filling of the ``m x (j-1)`` rest.  The
+    one-size budget is ``j`` (``bp0``) or 1 (``bpstar``, the minimum forced
+    into the first column), so the rest is always free.
+    """
+    if _fill_count(CLASS_BP0, j - 1, m, j - 1) > _MATERIALIZE_LIMIT:
+        return None
+    block = b"".join(
+        _slot_piece([(i,) + row for i, row in enumerate(rows)], slots, True, True) + b"\n"
+        for rows in _fill_columns_shifted(tuple(range(m, n)), j - 1, m, j - 1))
+    everyone = tuple(range(n))
+    if budget > 1:
+        columns = combinations(everyone, m)
+    else:
+        columns = map((0,).__add__, combinations(everyone[1:], m - 1))
+    return ((block, column + _without(everyone, column)) for column in columns)
+
+
+def _first_row_blocks(n: int, j: int, m: int, slots: list):
+    """(block, labels) per set of members of the row holding 0 in the one
+    ``m x j`` ``bp`` matrix, or ``None`` if its texts would be too long.
+
+    Indices ``0 .. j-1`` are that row, and the fillings of the other rows
+    are the tails.  :func:`_fill_rows` puts the row's permutations innermost,
+    and a line lists rows by first member, so where a permutation's row
+    goes among a tail's rows depends on the labels of its first member and
+    of the tail's.  Each tail's lines are kept once per leading index and
+    insertion point, and each choice joins the ones its labels select.
+    """
+    if _fill_count(CLASS_BP, j, m - 1, j) * factorial(j) * m > _MATERIALIZE_LIMIT:
+        return None
+
+    def bracket(row: tuple[int, ...]) -> bytes:
+        return b"[" + b",".join(map(slots.__getitem__, row)) + b"]"
+
+    tails = [sorted(rows) for rows in _fill_rows(tuple(range(j, n)), j, m - 1)]
+    rows = list(map(bracket, permutations(range(j))))
+    run = len(rows) // j
+    leads = [rows[lead * run:(lead + 1) * run] for lead in range(j)]
+    # texts[t][lead][at]: the lines of tail t with each row led by index
+    # ``lead`` placed as row ``at``.
+    texts = []
+    for tail in tails:
+        pieces = list(map(bracket, tail))
+        cuts = [(b"[" + b"".join([piece + b"," for piece in pieces[:at]]),
+                 b"".join([b"," + piece for piece in pieces[at:]]) + b"]\n")
+                for at in range(m)]
+        texts.append([[before + (after + before).join(runs) + after for before, after in cuts]
+                      for runs in leads])
+    firsts = [[row[0] - j for row in tail] for tail in tails]
+    others = tuple(range(1, n))
+
+    def blocks() -> Iterator[tuple[bytes, tuple[int, ...]]]:
+        for chosen in combinations(others, j - 1):
+            row = (0,) + chosen
+            # Label ``row[lead] - lead`` has that many tail labels below it.
+            block = b"".join([text[lead][bisect_left(first, label - lead)]
+                              for text, first in zip(texts, firsts)
+                              for lead, label in enumerate(row)])
+            yield block, row + _without(others, chosen)
+
+    return blocks()
+
+
+def _partition_blocks(n: int, p: Partition, kind: str) -> Optional[Iterator[bytes]]:
+    """The text of ``p``'s members, one relabelled block per content choice,
+    in :func:`_partition_stream`'s order; ``None`` where ``p`` streams."""
+    marks = _placeholders(n)
+    if marks is None:
+        return None
+    slots, relabel = marks
+    sizes, budgets = _matrices(p, kind)
+    (j, m), *smaller = sizes
+    if smaller:
+        pairs = _product_blocks(n, kind, sizes, budgets, slots)
+    elif j == 1 or m == 1:
+        return None
+    elif kind == CLASS_BP:
+        pairs = _first_row_blocks(n, j, m, slots)
+    else:
+        pairs = _first_column_blocks(n, j, m, budgets[j], slots)
+    return None if pairs is None else starmap(relabel, pairs)
 
 
 def _supports(n: int, kind: str, partition: Optional[Partition]) -> Iterable[Partition]:
@@ -347,16 +541,46 @@ def enum_class(n: int, kind: str, partition: Optional[Partition] = None
             for rows in _partition_stream(n, p, kind, _ROWS))
 
 
+def _batched(lines: Iterator[bytes], batch: Optional[int]) -> Iterator[bytes]:
+    """``lines`` joined, each followed by a newline, ``batch`` at a time."""
+    while chunk := list(islice(lines, batch)):
+        yield b"\n".join(chunk) + b"\n"
+
+
+def _partition_chunks(n: int, p: Partition, kind: str, batch: Optional[int]
+                      ) -> Iterator[bytes]:
+    blocks = _partition_blocks(n, p, kind)
+    if blocks is not None:
+        return blocks
+    return _batched(_partition_stream(n, p, kind, _TEXT), batch)
+
+
+def class_chunks(n: int, kind: str, partition: Optional[Partition] = None,
+                 batch: Optional[int] = None) -> Iterator[bytes]:
+    """The lines of :func:`class_lines`, each ending in a newline, as
+    ``bytes`` chunks of whole lines.
+
+    A partition rendered a block at a time gives one chunk per content
+    choice; one that streams gives chunks of ``batch`` lines, or one chunk
+    if ``batch`` is ``None``.
+    """
+    return _chained(_partition_chunks(n, p, kind, batch)
+                    for p in _supports(n, kind, partition))
+
+
+def _lines(chunks: Iterable[bytes]) -> Iterator[str]:
+    return _chained(chunk.decode().splitlines() for chunk in chunks)
+
+
 def class_lines(n: int, kind: str, partition: Optional[Partition] = None
                 ) -> Iterator[str]:
     """The stream of :func:`enum_class` in the schedule text format.
 
     Yields ``serialize_schedule(mu)`` for each ``mu`` of ``enum_class(n, kind,
-    partition)``, without a newline, but builds no schedule objects: each
-    line is the concatenation of the text pieces of its matrices.
+    partition)``, without a newline, but builds no schedule objects: it is
+    a line view of :func:`class_chunks`.
     """
-    return _chained(_partition_stream(n, p, kind, _TEXT)
-                    for p in _supports(n, kind, partition))
+    return _lines(class_chunks(n, kind, partition, 1))
 
 
 def enum_bp(n: int, partition: Optional[Partition] = None) -> Iterator[PartitionedOrder]:
@@ -424,17 +648,23 @@ def class_count(n: int, kind: str, workers: int = 1) -> int:
     return sum(_ordered_pool(_count_shard, tasks, workers))
 
 
-def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> str:
+def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> bytes:
     n, kind, parts = task
-    return "\n".join(class_lines(n, kind, Partition.from_parts(parts)))
+    return b"".join(class_chunks(n, kind, Partition.from_parts(parts)))
+
+
+def sharded_chunks(n: int, kind: str, workers: int) -> Iterator[bytes]:
+    """The text of :func:`class_chunks`, one chunk per partition, partitions
+    computed in parallel.
+
+    At most ``workers`` partitions are in flight, and each worker builds one
+    whole partition's text before returning it; intended for the CLI.
+    """
+    tasks = [(n, kind, p.parts) for p in _supports(n, kind, None)]
+    return _ordered_pool(_serialize_shard, tasks, workers)
 
 
 def sharded_lines(n: int, kind: str, workers: int) -> Iterator[str]:
-    """Serialized schedules in canonical order, partitions computed in parallel.
-
-    At most ``workers`` partitions are in flight.  Each worker still builds
-    one whole partition's text before returning it; intended for the CLI.
-    """
-    tasks = ((n, kind, p.parts) for p in _supports(n, kind, None))
-    texts = _ordered_pool(_serialize_shard, tasks, workers)
-    return _chained(text.split("\n") for text in texts)
+    """Serialized schedules in canonical order, partitions computed in
+    parallel: a line view of :func:`sharded_chunks`."""
+    return _lines(sharded_chunks(n, kind, workers))

@@ -2,16 +2,22 @@
 
 Everything here is deliberately written with different algorithms than the
 package: ascending-part recursion for partitions, set-partition expansion for
-schedules, explicit rotation minimisation for shift classes.
+schedules, explicit rotation minimisation for shift classes.  The exception
+is :func:`template_stream`, the package's earlier schedule text path: it
+shares the matrix fillers but renders one ``str.format`` template per filling
+and line, the reference for the text rendered a block at a time.
 """
 
 import json
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
+from operator import methodcaller
+from typing import Optional
 
-from blockpar import counting, phi, update_block
-from blockpar.partitions import Partition
+from blockpar import counting, enumeration, phi, update_block
+from blockpar.partitions import Partition, partitions_of
+from blockpar.schedule import format_oblocks
 
 
 @lru_cache(maxsize=None)
@@ -207,3 +213,97 @@ def embeds_injectively(pattern: dict, successors) -> bool:
         if all(h[pattern[v]] == successors[h[v]] for v in vertices):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The schedule text of the class streams, one ``str.format`` per filling
+
+class _Field(int):
+    """Matrix index ``k`` standing in for the matrix's ``k``-th smallest
+    member: it orders as ``k`` and prints as the ``str.format`` field
+    ``{k}``, so a filling of fields renders to a text template."""
+
+    def __str__(self) -> str:
+        return f"{{{int(self)}}}"
+
+
+def _text_piece(rows, opens: bool, closes: bool) -> str:
+    return format_oblocks(sorted(rows), opens, closes)
+
+
+def _text_row(labels, budget: int, opens: bool, closes: bool):
+    rows = map(",".join, enumeration._one_row(tuple(map(str, labels)), budget))
+    return map("".join, zip(repeat("[[" if opens else ",["), rows,
+                            repeat("]]" if closes else "]")))
+
+
+def _text_relabel(templates, labels):
+    return map(methodcaller("format", *labels), templates)
+
+
+#: ``(piece, row, relabel)``: a filling's text, the texts of a one-row
+#: matrix's fillings, and templates of :class:`_Field` indices relabelled.
+TEXT = (_text_piece, _text_row, _text_relabel)
+
+
+def template_stream(n: int, p: Partition, kind: str, renderer=TEXT):
+    """The lines of ``p``'s members of class ``kind``, one text template per
+    filling relabelled by ``str.format`` for every content choice.
+
+    Matrices are templated, and lines ordered, by the same rule as
+    ``enumeration._partition_stream`` under the current
+    ``enumeration._MATERIALIZE_LIMIT``; nothing is rendered as a block.
+    """
+    piece, row, relabel = renderer
+    sizes = [(j, p.m(j)) for j in p.part_sizes()]
+    if kind == "bpstar":
+        budgets = enumeration.min_column_budgets(p)
+    else:
+        budgets = {j: j for j, _ in sizes}
+    last = len(sizes) - 1
+
+    def pieces(elements, j, m, opens, closes):
+        if m == 1:
+            return row(elements, budgets[j], opens, closes)
+        if kind == "bp":
+            fillings = enumeration._fill_rows(elements, j, m)
+        else:
+            fillings = enumeration._fill_columns_shifted(elements, j, m, budgets[j])
+        return (piece(rows, opens, closes) for rows in fillings)
+
+    limit = enumeration._MATERIALIZE_LIMIT
+    templates = [
+        list(pieces(tuple(map(_Field, range(j * m))), j, m, idx == last, idx == 0))
+        if last > 0 and enumeration._fill_count(kind, j, m, budgets[j]) <= limit
+        else None
+        for idx, (j, m) in enumerate(sizes)
+    ]
+
+    def rec(remaining, idx):
+        j, m = sizes[idx]
+        closes = idx == 0
+        if idx == last:
+            if templates[idx] is None:
+                yield from pieces(remaining, j, m, True, closes)
+            else:
+                yield from relabel(templates[idx], remaining)
+            return
+        for chosen in combinations(remaining, j * m):
+            rest = tuple(x for x in remaining if x not in chosen)
+            if templates[idx] is None:
+                for head in pieces(chosen, j, m, False, closes):
+                    for tail in rec(rest, idx + 1):
+                        yield tail + head
+            else:
+                heads = list(relabel(templates[idx], chosen))
+                for tail in rec(rest, idx + 1):
+                    for head in heads:
+                        yield tail + head
+
+    return rec(tuple(range(n)), 0)
+
+
+def template_lines(n: int, kind: str, partition: Optional[Partition] = None):
+    """:func:`template_stream` over every partition of ``n``, or ``partition``."""
+    supports = [partition] if partition is not None else partitions_of(n)
+    return chain.from_iterable(template_stream(n, p, kind) for p in supports)

@@ -1,6 +1,7 @@
 """The text stream of the enumerators: ``class_lines`` against ``enum_class``
-plus ``serialize_schedule``, relabelled filling templates, the bounded
-``--threads`` window, and the bytes ``blockpar enum`` writes.
+plus ``serialize_schedule`` and against the per-filling template oracle,
+blocks relabelled by ``bytes.translate``, the bounded ``--threads`` window,
+and the bytes ``blockpar enum`` writes.
 
 The n = 7 digests were taken from the CLI before schedule lines were built
 from text pieces, when every line went through ``json.dumps``; the n = 9 and
@@ -72,6 +73,32 @@ def test_enum_large_bytes_pinned(n, kind):
     assert digest.hexdigest() == ENUM_LARGE[n, kind]
 
 
+def test_limit_inside_a_block(capsys):
+    # (9,) streams 40,320 lines; (8,1) follows in blocks of 5,040 lines, one
+    # per member left out of the 8-row, and the cut falls inside its second.
+    limit = 40320 + 5040 + 17
+    assert main(["enum", "9", "--class", "bpstar", "--limit", str(limit)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == list(islice(oracles.template_lines(9, "bpstar"), limit))
+    assert captured.out.endswith("\n")
+    assert captured.err == f"count={limit}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "8", "--class", "bp0"],
+    ["enum", "8", "--class", "bp", "--threads", "2"],
+    ["enum", "9", "--class", "bpstar", "--partition", "2+3+4", "--limit", "700"],
+], ids=["bp0-8", "bp-8-threads-2", "bpstar-9-partition-limit"])
+def test_out_file_holds_the_stdout_bytes(capsysbinary, tmp_path, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsysbinary.readouterr()
+    out = tmp_path / "schedules.txt"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == captured.out
+    assert capsysbinary.readouterr() == (b"", captured.err)
+    assert captured.err == b"count=%d\n" % captured.out.count(b"\n")
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["count", "40"], "f872af68d8d5db8ed1a9a1093c8c0130f72e378be04562091dc2f98f7f54daae"),
     (["count", "12", "--format", "json"],
@@ -97,19 +124,80 @@ def _filled_one_row(renderer: tuple, kind: str) -> tuple:
     return piece, row, relabel
 
 
-@pytest.mark.parametrize("limit", [0, 6, 90, enumeration._MATERIALIZE_LIMIT])
+LIMITS = [0, 6, 90, enumeration._MATERIALIZE_LIMIT]
+
+
+@pytest.mark.parametrize("limit", LIMITS)
 @pytest.mark.parametrize("kind", CLASSES)
 def test_one_row_fillings_match_the_fillers(kind, limit, monkeypatch):
     monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
-    for renderer in (enumeration._TEXT, enumeration._ROWS):
-        reference = _filled_one_row(renderer, kind)
-        for n in range(1, 9):
-            for p in partitions_of(n):
-                if 1 not in map(p.m, p.part_sizes()):
-                    continue
-                streams = (enumeration._partition_stream(n, p, kind, renderer),
-                           enumeration._partition_stream(n, p, kind, reference))
-                assert all(a == b for a, b in zip_longest(*streams)), (p, limit)
+    rows = _filled_one_row(enumeration._ROWS, kind)
+    text = _filled_one_row(oracles.TEXT, kind)
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            if 1 not in map(p.m, p.part_sizes()):
+                continue
+            streams = (enumeration._partition_stream(n, p, kind, enumeration._ROWS),
+                       enumeration._partition_stream(n, p, kind, rows))
+            assert all(a == b for a, b in zip_longest(*streams)), (p, limit)
+            lines = (class_lines(n, kind, p), oracles.template_stream(n, p, kind, text))
+            assert all(a == b for a, b in zip_longest(*lines)), (p, limit)
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+@pytest.mark.parametrize("kind", CLASSES)
+def test_class_lines_match_the_template_oracle(kind, limit, monkeypatch):
+    # Every partition of n <= 8: blocks of several part sizes, first rows and
+    # first columns of one-size matrices, and whatever streams at this limit.
+    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            lines = (class_lines(n, kind, p), oracles.template_stream(n, p, kind))
+            assert all(a == b for a, b in zip_longest(*lines)), (p, limit)
+
+
+#: Prefixes at two-digit labels: several part sizes, one size with two or
+#: more rows, and a one-row matrix too large to template, which streams.
+TWO_DIGIT = [("11", "1+2+3+5", 3000), ("11", "2+9", 3000), ("11", "1+1+1+4+4", 3000),
+             ("12", "4+4+4", 20000), ("12", "6+6", 3000), ("12", "2+2+2+2+2+2", 3000),
+             ("12", "3+9", 3000), ("12", "2+3+3+4", 3000)]
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+@pytest.mark.parametrize("n, parts, limit", TWO_DIGIT)
+def test_two_digit_labels_match_the_template_oracle(capsys, kind, n, parts, limit):
+    argv = ["enum", n, "--class", kind, "--partition", parts, "--limit", str(limit)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    expected = list(islice(oracles.template_stream(int(n), Partition.parse(parts), kind),
+                           limit))
+    assert captured.out.splitlines() == expected
+    assert captured.err == f"count={len(expected)}\n"
+
+
+def test_two_digit_first_row_blocks(capsys, monkeypatch):
+    # At the default limit no one-size bp partition of 11 or 12 takes the
+    # block path; under a larger one, (2,2,2,2,2,2) does, 60,480 lines a
+    # choice, and the prefix crosses into the second choice.
+    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", 1 << 19)
+    p = Partition.parse("2+2+2+2+2+2")
+    assert enumeration._partition_blocks(12, p, "bp") is not None
+    argv = ["enum", "12", "--class", "bp", "--partition", "2+2+2+2+2+2", "--limit", "70000"]
+    assert main(argv) == EXIT_OK
+    expected = list(islice(oracles.template_stream(12, p, "bp"), 70000))
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+@pytest.mark.parametrize("n", [100, 101])
+def test_placeholder_alphabet_edge(kind, n):
+    # 100 automata take two placeholder bytes each; 101 would take three,
+    # more than the 242 bytes schedule text never holds, so that partition
+    # streams.
+    p = Partition.from_parts((1,) * (n - 2) + (2,))
+    assert (enumeration._partition_blocks(n, p, kind) is None) == (n == 101)
+    lines = islice(class_lines(n, kind, p), 300)
+    assert list(lines) == list(islice(oracles.template_stream(n, p, kind), 300))
 
 
 @pytest.mark.parametrize("length", range(1, 7))

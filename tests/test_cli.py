@@ -322,16 +322,32 @@ class TestBench:
         assert counts == [1, 2, 6]
 
 
+class CountingBuffer(io.BytesIO):
+    """The bytes layer of a :class:`CountingStream`, counting into it."""
+
+    def __init__(self, stream):
+        super().__init__()
+        self.stream = stream
+
+    def write(self, data):
+        self.stream.writes += 1
+        return super().write(data)
+
+
 class CountingStream(io.StringIO):
-    """An in-memory stdout that counts ``write`` calls."""
+    """An in-memory stdout that counts ``write`` calls, text or bytes."""
 
     def __init__(self):
         super().__init__()
         self.writes = 0
+        self.buffer = CountingBuffer(self)
 
     def write(self, text):
         self.writes += 1
         return super().write(text)
+
+    def getvalue(self):
+        return super().getvalue() + self.buffer.getvalue().decode()
 
 
 def chunks(pieces: int) -> int:

@@ -39,6 +39,28 @@ def test_closed_stdout_ends_quietly(argv):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [["enum", "12", "--class", "bp0"],
+                                  ["enum", "9", "--class", "bpstar"]],
+                         ids=["bp0-12", "bpstar-9"])
+def test_reader_closing_after_1000_lines_ends_quietly(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blockpar", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(1000)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert all(line.startswith(b"[[") and line.endswith(b"]]\n") for line in lines)
+    assert proc.returncode == EXIT_OK
+    assert err == b""
+
+
 def test_limit_zero_prints_nothing(capsys):
     assert main(["enum", "5", "--limit", "0"]) == EXIT_OK
     captured = capsys.readouterr()
