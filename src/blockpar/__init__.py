@@ -5,8 +5,8 @@ substep-exact dynamics simulator with attractor analysis and exhaustive
 desk-scale deciders, and prime-counter gadget constructions.
 
 The names below are imported from their modules on first use, so importing
-one module of the package, such as the command line, loads only what it
-needs.
+one module of the package loads only what it needs: the command line loads
+``errors`` alone, and each command adds the modules it runs.
 """
 
 from importlib import import_module

@@ -8,31 +8,25 @@ cap exceeded, 6 internal error (a failed cross-check or any other unexpected
 exception: always a bug).
 
 Each command imports the modules it runs on, so a command loads no module
-it does not use.
+it does not use: ``enum`` and ``count`` never load the network code, and
+``json`` loads only where a command reads or writes JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
-from .network import BooleanNetwork, format_config, parse_config, parse_network, serialize_network
-from .partitions import Partition
-from .schedule import (
-    CLASSES,
-    DEFAULT_BLOCK_CAP,
-    PartitionedOrder,
-    parse_schedule,
-    serialize_schedule,
-)
+
+if TYPE_CHECKING:
+    from .network import BooleanNetwork
+    from .schedule import PartitionedOrder
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,17 +73,6 @@ REFERENCE_SECONDS = {
 }
 
 
-@dataclass
-class RunReport:
-    """Machine-readable record of one CLI invocation."""
-
-    command: str
-    parameters: dict
-    duration_s: float
-    result: dict = field(default_factory=dict)
-    exit_status: int = 0
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -101,11 +84,15 @@ def _read_file(path: str) -> str:
 
 
 def _load_network(path: str) -> BooleanNetwork:
+    from .network import parse_network
+
     return parse_network(_read_file(path))
 
 
 def _load_schedule(source: str, n: Optional[int] = None) -> PartitionedOrder:
     """Inline JSON when the argument starts with '['; otherwise a file path."""
+    from .schedule import parse_schedule
+
     text = source if source.lstrip().startswith("[") else _read_file(source)
     return parse_schedule(text, n=n)
 
@@ -163,6 +150,8 @@ def _write_lines(stream: BinaryIO, chunks: Iterable[bytes], limit: Optional[int]
 
 def _write_json(stream: TextIO, document) -> None:
     """``document`` as indented JSON and a newline, streamed in chunks."""
+    import json
+
     encoder = json.JSONEncoder(indent=2)
     _write_chunks(stream, chain(encoder.iterencode(document), ["\n"]))
 
@@ -221,8 +210,9 @@ def cmd_count(args) -> dict:
 
 def cmd_enum(args) -> dict:
     from . import enumeration
+    from .partitions import Partition
 
-    partition = Partition.parse(args.partition) if args.partition else None
+    partition = None if args.partition is None else Partition.parse(args.partition)
     if args.threads > 1 and partition is None and args.limit is None:
         chunks = enumeration.sharded_chunks(args.n, args.klass, args.threads)
     else:
@@ -237,6 +227,7 @@ def cmd_enum(args) -> dict:
 
 def cmd_step(args) -> dict:
     from . import dynamics
+    from .network import format_config, parse_config
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
@@ -248,6 +239,7 @@ def cmd_step(args) -> dict:
 
 def cmd_trace(args) -> dict:
     from . import dynamics
+    from .network import format_config, parse_config
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
@@ -280,6 +272,7 @@ def _answer(value: bool) -> dict:
 
 def cmd_check(args) -> dict:
     from . import dynamics
+    from .network import format_config, parse_config
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
@@ -305,7 +298,12 @@ def cmd_check(args) -> dict:
         result["count"] = len(points)
         return result
     if prop.startswith("limit-cycle:"):
-        k = int(prop.split(":", 1)[1])
+        text = prop.split(":", 1)[1]
+        try:
+            k = int(text)
+        except ValueError:
+            raise ScheduleFormatError(
+                f"limit-cycle:K needs an integer cycle length K, got {text!r}") from None
         return _answer(dynamics.limit_cycle_exists(f, mu, k, cap=cap))
     if prop == "reach":
         if not args.config or not args.target:
@@ -326,6 +324,8 @@ def cmd_check(args) -> dict:
     if prop == "subdynamics":
         if not args.graph:
             raise ScheduleFormatError("subdynamics requires --graph")
+        import json
+
         try:
             graph = json.loads(_read_file(args.graph))
         except json.JSONDecodeError as exc:
@@ -340,6 +340,8 @@ def cmd_check(args) -> dict:
 
 def cmd_gadget(args) -> dict:
     from . import dynamics
+    from .network import serialize_network
+    from .schedule import serialize_schedule
 
     if args.kind != "counter":
         raise ScheduleFormatError(f"unknown gadget kind {args.kind!r}")
@@ -372,8 +374,11 @@ def cmd_bench(args) -> dict:
     import statistics
 
     from . import counting, enumeration
+    from .schedule import CLASSES
 
     klasses = [k.strip() for k in args.classes.split(",") if k.strip()]
+    if not klasses:
+        raise ScheduleFormatError(f"--classes names no schedule class: {args.classes!r}")
     rows = []
     for klass in klasses:
         if klass not in CLASSES:
@@ -407,6 +412,8 @@ def cmd_bench(args) -> dict:
 # Wiring
 
 def build_parser() -> argparse.ArgumentParser:
+    from .schedule import CLASSES, DEFAULT_BLOCK_CAP
+
     parser = argparse.ArgumentParser(
         prog="blockpar",
         description="Block-parallel update schedules: count, enumerate, simulate, analyse.",
@@ -512,21 +519,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         status = EXIT_INTERNAL
     if args.report:
+        import json
+
         parameters = {
             k: v
             for k, v in vars(args).items()
             if k not in {"handler", "report"} and not callable(v)
         }
-        report = RunReport(
-            command=args.command,
-            parameters=parameters,
-            duration_s=round(time.perf_counter() - started, 6),
-            result=result,
-            exit_status=status,
-        )
+        report = {
+            "command": args.command,
+            "parameters": parameters,
+            "duration_s": round(time.perf_counter() - started, 6),
+            "result": result,
+            "exit_status": status,
+        }
         try:
             with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(asdict(report), handle, indent=2, default=str)
+                json.dump(report, handle, indent=2, default=str)
                 handle.write("\n")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)

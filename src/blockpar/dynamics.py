@@ -44,12 +44,11 @@ from __future__ import annotations
 import struct
 import sys
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, lshift, or_
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import CrossCheckError, ResourceCapError
+from .errors import CrossCheckError, Record, ResourceCapError
 from .network import (
     BooleanNetwork,
     Const,
@@ -59,7 +58,7 @@ from .network import (
     and_chain,
     format_config,
 )
-from .partitions import PrimeGadgetBasis, gadget_primes, prime_count_for, sieve_primes_below
+from .partitions import gadget_primes, prime_count_for, sieve_primes_below
 from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
 
 #: Most automata a whole-space operation runs on (``n_cap`` in its message).
@@ -543,20 +542,17 @@ def distinguishing_network(mu: PartitionedOrder, mu2: PartitionedOrder
 # ---------------------------------------------------------------------------
 # Gadget builders
 
-@dataclass(frozen=True)
-class GadgetBundle:
-    """A network/schedule pair with named automaton ranges.
+class GadgetBundle(Record):
+    """A network/schedule pair with named automaton ranges, and the
+    :class:`~blockpar.partitions.PrimeGadgetBasis` it was built from.
 
-    ``padding`` automata sit in o-blocks of prime lengths and force the
-    substep count up to the product of those primes; ``counter`` automata sit
-    in singleton o-blocks and are updated at every substep.
+    The ``padding`` and ``counter`` ranges split the automata.  ``padding``
+    automata sit in o-blocks of prime lengths and force the substep count up
+    to the product of those primes; ``counter`` automata sit in singleton
+    o-blocks and are updated at every substep.
     """
 
-    network: BooleanNetwork
-    schedule: PartitionedOrder
-    padding: range
-    counter: range
-    basis: PrimeGadgetBasis
+    __slots__ = _fields = ("network", "schedule", "padding", "counter", "basis")
 
     @property
     def n_automata(self) -> int:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
-from .errors import NetworkSyntaxError
+from .errors import NetworkSyntaxError, Record
 
 if TYPE_CHECKING:
     import random
@@ -32,15 +31,11 @@ if TYPE_CHECKING:
 _PREC_OR, _PREC_XOR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-@dataclass(frozen=True)
-class Spelling:
+class Spelling(Record):
     """How ``render`` writes a variable index, the constant 1 and a negated
     operand; the negation binds as tightly as ``negation_precedence``."""
 
-    var: str
-    one: str
-    negation: str
-    negation_precedence: int
+    __slots__ = _fields = ("var", "one", "negation", "negation_precedence")
 
 
 #: The network text format.
@@ -58,9 +53,8 @@ def _operand(expr: "Expr", spelling: Spelling, bound: int) -> str:
     return f"({text})" if precedence < bound else text
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Record):
+    __slots__ = _fields = ("index",)
 
     precedence = _PREC_ATOM
 
@@ -74,9 +68,8 @@ class Var:
         return frozenset((self.index,))
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    __slots__ = _fields = ("value",)
 
     precedence = _PREC_ATOM
 
@@ -90,9 +83,8 @@ class Const:
         return frozenset()
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Expr"
+class Not(Record):
+    __slots__ = _fields = ("operand",)
 
     def evaluate(self, x: int) -> int:
         return self.operand.evaluate(x) ^ 1
@@ -105,19 +97,21 @@ class Not:
         return self.operand.variables()
 
 
-@dataclass(frozen=True, init=False)
-class _Chain:
+class _Chain(Record):
     """``operands`` joined left to right by one operator.
 
     A first operand of the same kind is absorbed, so ``And(And(a, b), c)`` is
     ``And(a, b, c)``; a later one stays its own node, as in ``a & (b & c)``.
     """
 
-    operands: tuple
+    __slots__ = _fields = ("operands",)
 
     def __init__(self, first: "Expr", second: "Expr", *rest: "Expr"):
         head = first.operands if type(first) is type(self) else (first,)
         object.__setattr__(self, "operands", (*head, second, *rest))
+
+    def __reduce__(self):
+        return (type(self), self.operands)
 
     def evaluate(self, x: int) -> int:
         return reduce(self.op, (e.evaluate(x) for e in self.operands))
@@ -134,18 +128,21 @@ class _Chain:
 
 
 class And(_Chain):
+    __slots__ = ()
     symbol = "&"
     precedence = _PREC_AND
     op = operator.and_
 
 
 class Or(_Chain):
+    __slots__ = ()
     symbol = "|"
     precedence = _PREC_OR
     op = operator.or_
 
 
 class Xor(_Chain):
+    __slots__ = ()
     symbol = "^"
     precedence = _PREC_XOR
     op = operator.xor

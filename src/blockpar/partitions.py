@@ -8,32 +8,36 @@ build schedules whose substep count is the product of distinct primes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import CrossCheckError
+from .errors import CrossCheckError, Record
 
 
-@dataclass(frozen=True)
-class Partition:
-    """An integer partition of ``n``, parts stored in descending order."""
+class Partition(Record):
+    """An integer partition of ``n``, parts stored in descending order.
 
-    n: int
-    parts: tuple[int, ...]
+    ``multiplicities`` is the dense multiplicity table: entry ``j`` is m(j),
+    for ``0 <= j <= d``.  Entry 0 is always 0; inner entries may be 0 (a
+    missing part size).
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"partition total must be positive, got {self.n}")
-        if not self.parts:
+    __slots__ = ("n", "parts", "multiplicities")
+    _fields = ("n", "parts")
+
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"partition total must be positive, got {n}")
+        if not parts:
             raise ValueError("a partition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts!r}")
-        if sum(self.parts) != self.n:
-            raise ValueError(f"parts {self.parts!r} do not sum to {self.n}")
-        ordered = tuple(sorted(self.parts, reverse=True))
-        if ordered != self.parts:
-            object.__setattr__(self, "parts", ordered)
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive integers: {parts!r}")
+        if sum(parts) != n:
+            raise ValueError(f"parts {parts!r} do not sum to {n}")
+        super().__init__(n, tuple(sorted(parts, reverse=True)))
+        table = [0] * (self.d + 1)
+        for p in parts:
+            table[p] += 1
+        object.__setattr__(self, "multiplicities", tuple(table))
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
@@ -53,17 +57,6 @@ class Partition:
     def d(self) -> int:
         """Largest part size."""
         return self.parts[0]
-
-    @cached_property
-    def multiplicities(self) -> tuple[int, ...]:
-        """Dense multiplicity table: entry ``j`` is m(j), for ``0 <= j <= d``.
-
-        Entry 0 is always 0; inner entries may be 0 (a missing part size).
-        """
-        table = [0] * (self.d + 1)
-        for p in self.parts:
-            table[p] += 1
-        return tuple(table)
 
     def m(self, j: int) -> int:
         """Multiplicity of part size ``j`` (0 outside ``1..d``)."""
@@ -111,26 +104,24 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield Partition(n, parts)
 
 
-@dataclass(frozen=True)
-class PrimeGadgetBasis:
+class PrimeGadgetBasis(Record):
     """Distinct primes below ``n**2`` whose product exceeds ``2**n``.
 
     ``cumulative`` holds the running sums q_0 = 0, q_j = p_1 + ... + p_j;
     the gadget builders use q_j as o-block boundaries.
     """
 
-    n: int
-    primes: tuple[int, ...]
-    cumulative: tuple[int, ...]
+    __slots__ = _fields = ("n", "primes", "cumulative")
 
-    def __post_init__(self):
-        if list(self.primes) != sorted(set(self.primes)):
+    def __init__(self, n: int, primes: tuple[int, ...], cumulative: tuple[int, ...]):
+        if list(primes) != sorted(set(primes)):
             raise ValueError("primes must be strictly increasing")
         expected = [0]
-        for p in self.primes:
+        for p in primes:
             expected.append(expected[-1] + p)
-        if tuple(expected) != self.cumulative:
+        if tuple(expected) != cumulative:
             raise ValueError("cumulative sums do not match the prime list")
+        super().__init__(n, primes, cumulative)
 
     @property
     def k(self) -> int:

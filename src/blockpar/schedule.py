@@ -22,13 +22,11 @@ Two equivalences matter:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from itertools import compress, cycle, filterfalse, islice
 from typing import Iterable, Iterator, Optional
 
-from .errors import ResourceCapError, ScheduleFormatError
+from .errors import Record, ResourceCapError, ScheduleFormatError
 from .partitions import Partition
 
 #: Hard ceiling on materialised substep counts; schedules built from prime
@@ -152,25 +150,23 @@ class PartitionedOrder:
         return (PartitionedOrder, (self.n, self.oblocks))
 
 
-@dataclass(frozen=True)
-class BlockSequence:
+class BlockSequence(Record):
     """An ordered sequence of update blocks; each block is a sorted index tuple."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("n", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         normalised = []
-        for block in self.blocks:
+        for block in blocks:
             block = tuple(sorted(block))
             if not block:
                 raise ValueError("empty update block")
-            if block[0] < 0 or block[-1] >= self.n:
-                raise ValueError(f"block {block} out of range for n={self.n}")
+            if block[0] < 0 or block[-1] >= n:
+                raise ValueError(f"block {block} out of range for n={n}")
             if len(set(block)) != len(block):
                 raise ValueError(f"block {block} repeats an automaton")
             normalised.append(block)
-        object.__setattr__(self, "blocks", tuple(normalised))
+        super().__init__(n, tuple(normalised))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -197,12 +193,13 @@ def phi(mu: PartitionedOrder, cap: Optional[int] = DEFAULT_BLOCK_CAP) -> BlockSe
     return BlockSequence(mu.n, tuple(mu.substeps()))
 
 
-@dataclass(frozen=True)
-class MatrixRepresentation:
-    """O-blocks grouped by length: one matrix per part size, rows are o-blocks."""
+class MatrixRepresentation(Record):
+    """O-blocks grouped by length: one matrix per part size, rows are o-blocks.
 
-    n: int
-    matrices: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+    ``matrices`` holds one ``(j, rows)`` pair per part size ``j``, ascending.
+    """
+
+    __slots__ = _fields = ("n", "matrices")
 
     def matrix(self, j: int) -> tuple[tuple[int, ...], ...]:
         """Rows of the matrix with ``j`` columns (empty if no o-block has length j)."""
@@ -293,6 +290,8 @@ def parse_schedule(text: str, n: Optional[int] = None) -> PartitionedOrder:
     Inner arrays are o-blocks whose order is significant; outer order is not.
     ``n`` defaults to one more than the largest index mentioned.
     """
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

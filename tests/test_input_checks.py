@@ -190,3 +190,25 @@ def test_count_options_below_their_minimum_are_usage_errors(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+
+
+def test_empty_partition_text_is_refused(capsys):
+    assert main(["enum", "3", "--partition", ""]) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", "error: bad partition text ''\n")
+
+
+@pytest.mark.parametrize("classes", ["", ",", " , "])
+def test_bench_needs_a_class(classes, capsys):
+    assert main(["bench", "3", "--classes", classes]) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == (
+        "", f"error: --classes names no schedule class: {classes!r}\n")
+
+
+@pytest.mark.parametrize("k", ["abc", "", "1.5"])
+def test_limit_cycle_needs_an_integer_length(k, tmp_path, capsys):
+    network = tmp_path / "net.bn"
+    network.write_text("x0 = x1\nx1 = x0\n")
+    argv = ["check", f"limit-cycle:{k}", "--network", str(network), "--schedule", "[[0],[1]]"]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == (
+        "", f"error: limit-cycle:K needs an integer cycle length K, got {k!r}\n")

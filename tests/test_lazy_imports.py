@@ -2,7 +2,6 @@
 public names resolve on first use to the objects of their home modules."""
 
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,41 +31,68 @@ PUBLIC = {
                 " is_bs_intersection matrix_repr parse_schedule phi serialize_schedule",
 }
 
+#: Imports the CLI, runs the command ``argv`` (if any) with stdout discarded,
+#: and prints its exit status and which modules of ``watch`` were loaded
+#: before and after it ran.
 PROBE = """
-import sys
+import os
 import blockpar.cli
-after_import = sorted(m for m in {heavy} + ("blockpar.dynamics",) if m in sys.modules)
-status = blockpar.cli.main(["check", "identity", "--network", {network!r},
-                            "--schedule", "[[0],[1]]"])
-after_check = sorted(m for m in {heavy} if m in sys.modules)
-print(status, after_import, after_check)
+watch = {watch!r}
+before = sorted(m for m in watch if m in sys.modules)
+stdout = sys.stdout
+sys.stdout = open(os.devnull, "w")
+status = blockpar.cli.main({argv!r}) if {argv!r} else 0
+sys.stdout = stdout
+print(status, before, sorted(m for m in watch if m in sys.modules))
 """
 
 
-def _env() -> dict:
-    """The environment of a probe process, with this package importable."""
+def _probe(code: str) -> str:
+    """The stdout of ``code`` in a clean interpreter: ``-I`` ignores
+    ``PYTHONPATH`` and the user's site, ``-S`` skips ``site`` (which loads
+    modules of its own), and the probe puts this package on ``sys.path``."""
     source = str(Path(blockpar.__file__).resolve().parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", f"import sys; sys.path.insert(0, {source!r})\n" + code],
+        capture_output=True, text=True, check=True,
+    )
+    return result.stdout
+
+
+def _loaded(argv: list[str], watch: tuple[str, ...]) -> str:
+    return _probe(PROBE.format(argv=argv, watch=watch)).splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_dataclasses_json_or_network_code():
+    watch = ("dataclasses", "inspect", "json", "blockpar.network", "blockpar.schedule")
+    assert _loaded([], watch) == "0 [] []"
+
+
+def test_count_loads_no_network_enumeration_or_dynamics():
+    watch = ("blockpar.network", "blockpar.enumeration", "blockpar.dynamics",
+             "dataclasses", "json")
+    assert _loaded(["count", "3"], watch) == "0 [] []"
+
+
+def test_enum_loads_no_network_dynamics_or_counting():
+    watch = ("blockpar.network", "blockpar.dynamics", "blockpar.counting",
+             "dataclasses", "json")
+    assert _loaded(["enum", "3", "--limit", "1"], watch) == "0 [] []"
 
 
 def test_check_loads_no_enumeration_counting_or_pool(tmp_path):
     network = tmp_path / "identity.bn"
     network.write_text("x0 = x0\nx1 = x1\n")
-    probe = PROBE.format(heavy=HEAVY, network=str(network))
-    result = subprocess.run([sys.executable, "-c", probe], env=_env(),
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == ["true", "0 [] []"]
+    argv = ["check", "identity", "--network", str(network), "--schedule", "[[0],[1]]"]
+    assert _loaded(argv, HEAVY + ("blockpar.dynamics",)) == "0 [] ['blockpar.dynamics']"
 
 
 def test_counting_loads_fractions_only_for_the_egf_route():
-    probe = ("import sys, blockpar.counting as c;"
+    probe = ("import blockpar.counting as c;"
              " before = 'fractions' in sys.modules;"
              " c.count_bp0_via_egf(3);"
              " print(before, 'fractions' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], env=_env(),
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert _probe(probe).split() == ["False", "True"]
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -14,11 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from blockpar import cli
 from blockpar.cli import EXIT_OK, EXIT_RESOURCE_CAP, main
 from blockpar.dynamics import counter_gadget, step, step_trace
 from blockpar.network import BooleanNetwork, Not, Var
-from blockpar.schedule import PartitionedOrder
+from blockpar.schedule import DEFAULT_BLOCK_CAP, PartitionedOrder
 
 from test_substep_rule import oracle_trace
 
@@ -160,7 +159,7 @@ def test_large_gadget_step_settles_and_cap_still_applies(capsys, tmp_path):
              "--config", "0" * 722]
     assert run(capsys, "step", *files, "--cap-substeps", str(10**30)) \
         == (EXIT_OK, "0" * 712 + "1" * 10 + "\n")
-    assert main(["step", *files, "--cap-substeps", str(cli.DEFAULT_BLOCK_CAP)]) \
+    assert main(["step", *files, "--cap-substeps", str(DEFAULT_BLOCK_CAP)]) \
         == EXIT_RESOURCE_CAP
     assert capsys.readouterr().err == (
         "error: one step expands to 40729680599249024150621323470 substeps,"
