@@ -47,9 +47,8 @@ and takes the fillings of the rest as the block.  The partitions left over
 -- a matrix above ``_MATERIALIZE_LIMIT`` fillings or a block above that many
 lines, a one-row or one-column matrix alone, more indices than placeholders
 -- stream line by line, in chunks.  :func:`class_lines` is a line view of
-the chunks.  :func:`sharded_chunks` spreads the partitions of ``n`` over a
-process pool, one chunk per partition and at most ``workers`` partitions in
-flight; ``multiprocessing`` is imported only when a pool starts.
+the chunks, and :func:`class_count` counts their newlines.  Every stream
+runs in the calling process.
 
 A stream nests one generator per part size and a filler of a matrix with
 two or more rows one more per column (per row for ``bp``); a one-row matrix
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import deque
 from itertools import (
     chain, combinations, compress, filterfalse, islice, permutations, product, repeat, starmap,
 )
@@ -83,6 +81,10 @@ from .schedule import (
 #: Most fillings of one matrix held as templates; bigger matrices fall back
 #: to fully lazy nesting so early stream consumers never stall.
 _MATERIALIZE_LIMIT = 1 << 17
+
+#: Lines per chunk :func:`class_count` reads from a streamed partition, so
+#: counting holds no more than that many lines of text at once.
+_COUNT_BATCH = 1024
 
 
 def min_column_budgets(p: Partition) -> dict[int, int]:
@@ -599,72 +601,16 @@ def enum_bp_star(n: int, partition: Optional[Partition] = None
     return enum_class(n, CLASS_BP_STAR, partition)
 
 
-# ---------------------------------------------------------------------------
-# Partition-sharded parallelism
-
-def _count_shard(task: tuple[int, str, tuple[int, ...]]) -> int:
-    n, kind, parts = task
-    p = Partition.from_parts(parts)
-    return sum(1 for _ in _partition_stream(n, p, kind, _ROWS))
-
-
-def _ordered_pool(func, tasks: Iterable, workers: int) -> Iterator:
-    """``func(task)`` for each of ``tasks``, in order, from a pool of ``workers``
-    processes; the next task is submitted when the oldest result is taken,
-    so at most ``workers`` are in flight."""
-    import multiprocessing
-
-    tasks = iter(tasks)
-    with multiprocessing.Pool(workers) as pool:
-        window = deque(pool.apply_async(func, (task,))
-                       for task in islice(tasks, workers))
-        while window:
-            result = window.popleft().get()
-            task = next(tasks, None)
-            if task is not None:
-                window.append(pool.apply_async(func, (task,)))
-            yield result
-
-
-def __getattr__(name: str):
-    # ``enumeration.multiprocessing`` stays reachable, for tests that patch
-    # its ``Pool``, without importing it when the module loads.
-    if name == "multiprocessing":
-        import multiprocessing
-
-        return multiprocessing
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def class_count(n: int, kind: str, workers: int = 1) -> int:
-    """Cardinality of a class stream, optionally sharded by partition.
-
-    Sharded totals are identical to sequential ones; workers only split the
-    outer loop over partitions.
-    """
-    tasks = [(n, kind, p.parts) for p in _supports(n, kind, None)]
-    if workers <= 1:
-        return sum(map(_count_shard, tasks))
-    return sum(_ordered_pool(_count_shard, tasks, workers))
-
-
-def _serialize_shard(task: tuple[int, str, tuple[int, ...]]) -> bytes:
-    n, kind, parts = task
-    return b"".join(class_chunks(n, kind, Partition.from_parts(parts)))
-
-
-def sharded_chunks(n: int, kind: str, workers: int) -> Iterator[bytes]:
-    """The text of :func:`class_chunks`, one chunk per partition, partitions
-    computed in parallel.
-
-    At most ``workers`` partitions are in flight, and each worker builds one
-    whole partition's text before returning it; intended for the CLI.
-    """
-    tasks = [(n, kind, p.parts) for p in _supports(n, kind, None)]
-    return _ordered_pool(_serialize_shard, tasks, workers)
+def class_count(n: int, kind: str) -> int:
+    """Cardinality of a class stream: the newlines of :func:`class_chunks`,
+    read ``_COUNT_BATCH`` lines at a time where a partition streams."""
+    return sum(chunk.count(b"\n") for chunk in class_chunks(n, kind, None, _COUNT_BATCH))
 
 
 def sharded_lines(n: int, kind: str, workers: int) -> Iterator[str]:
-    """Serialized schedules in canonical order, partitions computed in
-    parallel: a line view of :func:`sharded_chunks`."""
-    return _lines(sharded_chunks(n, kind, workers))
+    """:func:`class_lines` of ``n`` and ``kind``; ``workers`` is ignored.
+
+    Kept for callers written when this spread the partitions over a
+    process pool: one process now writes the text faster than a pool.
+    """
+    return class_lines(n, kind)

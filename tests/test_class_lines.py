@@ -1,7 +1,7 @@
 """The text stream of the enumerators: ``class_lines`` against ``enum_class``
 plus ``serialize_schedule`` and against the per-filling template oracle,
-blocks relabelled by ``bytes.translate``, the bounded ``--threads`` window,
-and the bytes ``blockpar enum`` writes.
+blocks relabelled by ``bytes.translate``, and the bytes ``blockpar enum``
+writes, under ``--threads`` too.
 
 The n = 7 digests were taken from the CLI before schedule lines were built
 from text pieces, when every line went through ``json.dumps``; the n = 9 and
@@ -19,7 +19,7 @@ import pytest
 from blockpar import enumeration
 from blockpar.cli import EXIT_OK, main
 from blockpar.counting import count_bp, count_bp0, count_bp_star
-from blockpar.enumeration import CLASSES, class_lines, enum_class, sharded_lines
+from blockpar.enumeration import CLASSES, class_lines, enum_class
 from blockpar.partitions import Partition, partitions_of
 from blockpar.schedule import (
     PartitionedOrder, format_oblocks, parse_schedule, phi, serialize_schedule,
@@ -318,63 +318,3 @@ def test_restricted_streams_property():
             assert len(schedules) == len(expected)
 
     check()
-
-
-class FakePool:
-    """A synchronous stand-in for ``multiprocessing.Pool``: a task runs when
-    its result is read, and the pool counts the results not yet read."""
-
-    instances: list = []
-
-    def __init__(self, workers):
-        self.workers = workers
-        self.submitted = 0
-        self.outstanding = 0
-        self.peak = 0
-        FakePool.instances.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def apply_async(self, func, args):
-        pool = self
-        self.submitted += 1
-        self.outstanding += 1
-        self.peak = max(self.peak, self.outstanding)
-
-        class Result:
-            def get(self):
-                pool.outstanding -= 1
-                return func(*args)
-
-        return Result()
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    FakePool.instances = []
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", FakePool)
-    return FakePool
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("kind", CLASSES)
-def test_sharded_window_is_bounded(fake_pool, kind, workers):
-    assert list(sharded_lines(6, kind, workers)) == list(class_lines(6, kind))
-    (pool,) = fake_pool.instances
-    assert pool.workers == workers
-    assert pool.peak == workers
-    assert pool.submitted == len(list(partitions_of(6)))
-    assert pool.outstanding == 0
-
-
-def test_sharded_window_submits_lazily(fake_pool):
-    lines = sharded_lines(8, "bp", 2)
-    assert list(islice(lines, 3)) == list(islice(class_lines(8, "bp"), 3))
-    lines.close()
-    (pool,) = fake_pool.instances
-    # Two tasks fill the window; reading the first result submits a third.
-    assert pool.submitted == 3

@@ -126,7 +126,7 @@ def test_count_cap(monkeypatch, capsys):
 def test_bench_refuses_a_drain_above_the_cap(monkeypatch, capsys):
     drains = []
     monkeypatch.setattr(enumeration, "class_count",
-                        lambda n, kind, workers: drains.append(kind) or 0)
+                        lambda n, kind: drains.append(kind) or 0)
     # bench 3 drains 17 bp, 17 bp0 and 9 bpstar schedules per repeat.
     monkeypatch.setattr(cli, "BENCH_DRAIN_CAP", 86)
     assert main(["bench", "3", "--repeats", "2"]) == EXIT_OK
@@ -181,21 +181,22 @@ def test_unwritable_output_is_bad_input(argv, message, capsys):
 PROBE = """
 import sys
 from blockpar.cli import main
-status = main(["enum", "6"])
+status = main(sys.argv[1:])
 print(status, "multiprocessing" in sys.modules, file=sys.stderr)
 """
 
 
-def test_serial_enum_loads_no_pool():
-    result = subprocess.run([sys.executable, "-c", PROBE], env=ENV,
+def _enum_6_loads_no_pool(*options):
+    result = subprocess.run([sys.executable, "-c", PROBE, "enum", "6", *options], env=ENV,
                             capture_output=True, text=True, check=True)
     assert result.stdout.count("\n") == 4051
     assert result.stderr.splitlines() == ["count=4051", "0 False"]
 
 
-def test_pool_module_stays_patchable():
-    import multiprocessing
+def test_serial_enum_loads_no_pool():
+    _enum_6_loads_no_pool()
 
-    assert enumeration.multiprocessing is multiprocessing
-    with pytest.raises(AttributeError, match="no attribute 'nope'"):
-        enumeration.nope  # noqa: B018
+
+def test_enum_threads_2_loads_no_pool():
+    # --threads is parsed and ignored: the stream stays in this process.
+    _enum_6_loads_no_pool("--threads", "2")

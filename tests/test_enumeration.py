@@ -3,6 +3,7 @@ from itertools import islice
 
 import pytest
 
+from blockpar import enumeration
 from blockpar.counting import bp0_term, bp_star_term, bp_term
 from blockpar.enumeration import (
     CLASSES,
@@ -147,9 +148,13 @@ def test_streams_are_lazy():
     assert time.perf_counter() - started < 5.0
 
 
-def test_sharded_counts_match_sequential():
-    for kind in CLASSES:
-        assert class_count(6, kind, workers=2) == class_count(6, kind)
+def test_class_count_matches_closed_forms(monkeypatch):
+    # A batch of 7 lines cuts the streamed partitions mid-chunk.
+    monkeypatch.setattr(enumeration, "_COUNT_BATCH", 7)
+    closed = {"bp": count_bp, "bp0": count_bp0, "bpstar": count_bp_star}
+    for n in range(1, 9):
+        for kind in CLASSES:
+            assert class_count(n, kind) == closed[kind](n)
 
 
 def test_sharded_lines_match_sequential():

@@ -6,10 +6,8 @@ the command line to the same checks, made at the call, before any stream
 starts.
 """
 
-import multiprocessing
 import random
 import re
-import time
 
 import pytest
 
@@ -154,17 +152,6 @@ def test_streams_check_their_arguments_at_the_call(args, message):
     if len(args) == 2:
         with pytest.raises(ValueError, match=re.escape(message)):
             sharded_lines(*args, 2)
-        assert multiprocessing.active_children() == []
-
-
-def test_closing_sharded_lines_ends_its_pool():
-    lines = sharded_lines(8, "bp", 2)
-    assert next(lines) == "[[0,1,2,3,4,5,6,7]]"
-    lines.close()
-    deadline = time.monotonic() + 10
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
 
 
 def test_enum_checks_arguments_before_opening_out(tmp_path, capsys):

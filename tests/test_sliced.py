@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from blockpar import cli, dynamics
-from blockpar.cli import EXIT_RESOURCE_CAP, EXIT_USAGE, main
+from blockpar import dynamics
+from blockpar.cli import EXIT_RESOURCE_CAP, main
 from blockpar.dynamics import is_bijective, reachable, transition_graph
 from blockpar.errors import CrossCheckError, ResourceCapError
 from blockpar.network import (
@@ -156,34 +156,6 @@ class TestReachStepCap:
                        "--config", "0" * 8, "--target", "1" * 8])
         assert status == EXIT_RESOURCE_CAP
         assert "step cap of 16" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["enum", "4"],
-    ["dynamics", "--network", "net.bn", "--schedule", "[[0]]"],
-    ["bench", "2"],
-])
-def test_threads_above_usable_cpus_is_usage_error(argv, monkeypatch, capsys):
-    # Only the argument check runs: no pool is ever started.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--threads", "4"])
-    assert exc.value.code == EXIT_USAGE
-    assert "--threads" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cpus, threads", [(3, 3), (1, 2)])
-def test_threads_bound_accepts_usable_cpus_and_two(cpus, threads, monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    args = cli.build_parser().parse_args(["enum", "4", "--threads", str(threads)])
-    assert args.threads == threads
-
-
-def test_threads_bound_on_one_cpu_is_two(monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    with pytest.raises(SystemExit) as exc:
-        main(["enum", "4", "--threads", "3"])
-    assert exc.value.code == EXIT_USAGE
 
 
 def expressions(n: int):
