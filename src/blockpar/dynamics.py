@@ -20,9 +20,13 @@ over every plane, and transposes the planes back into one image per
 configuration.  It works through sub-cubes of doubling size, so a decider
 that stops early evaluates few configurations.  The transition graph and the
 whole-space deciders read it; ``is_bijective`` checks it against a scalar
-per-block method, ``_blocks_bijective``, which evaluates each local once per
-configuration into a column of bytes and assembles every block's images
-from the columns.  Every cycle decomposition, of the transition graph and
+per-block method, ``_blocks_bijective``.  That method splits each block
+into dependency components (members joined when either reads the other)
+and checks each component only over the configurations of its support,
+the component with every automaton its locals read; each local is
+evaluated once per assignment of the variables it reads, into a truth
+table of bytes (its docstring says why this is exact).  Every cycle
+decomposition, of the transition graph and
 of a subdynamics pattern, is one pointer chase, ``_decompose``.  The
 exports, ``dot_lines`` and ``json_lines``, yield their text lazily, one
 edge or one cycle at a time, so no export is built as one string.  Everything
@@ -302,8 +306,8 @@ def is_fixed_point(f: BooleanNetwork, mu: PartitionedOrder, x: int,
 def fixed_points(f: BooleanNetwork, mu: PartitionedOrder,
                  cap: Optional[int] = DEFAULT_BLOCK_CAP) -> frozenset[int]:
     """All configurations mapped to themselves."""
-    graph = transition_graph(f, mu, cap=cap)
-    return frozenset(c[0] for c in graph.cycles if len(c) == 1)
+    images = _images(f, mu, f"transition graph over 2**{f.n} configurations", cap)
+    return frozenset(x for x, y in enumerate(images) if x == y)
 
 
 def limit_cycles(f: BooleanNetwork, mu: PartitionedOrder,
@@ -365,28 +369,103 @@ def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
     return next((x for x, image in enumerate(images) if image == y), None)
 
 
+def _components(block: tuple[int, ...], reads: list[tuple[int, ...]]) -> list[frozenset[int]]:
+    """The dependency components of ``block``: members ``i`` and ``j`` are
+    joined when either one's local reads the other."""
+    members = set(block)
+    group = {i: {i} for i in block}
+    for i in block:
+        for j in members.intersection(reads[i]):
+            a, b = group[i], group[j]
+            if a is not b:
+                a |= b
+                for k in b:
+                    group[k] = a
+    return list(dict.fromkeys(frozenset(group[i]) for i in block))
+
+
+def _truth_table(local, reads: tuple[int, ...]) -> bytes:
+    """``local`` at each assignment of its sorted ``reads``, every other bit
+    0: entry ``a`` sets ``reads[t]`` where bit ``t`` of ``a`` is set.
+
+    Reads ``0, 1, ..., t - 1`` at the bottom are a ``range``; each read
+    above them doubles the configurations."""
+    t = 0
+    while t < len(reads) and reads[t] == t:
+        t += 1
+    configs = range(1 << t)
+    for p in reads[t:]:
+        configs = [*configs, *map(or_, configs, repeat(1 << p))]
+    return bytes(map(local, configs))
+
+
+def _spread(table: bytes, reads: tuple[int, ...], support: tuple[int, ...]) -> bytes:
+    """``table`` over the sorted ``support``, a superset of ``reads``: entry
+    ``a`` is the table entry at the bits of ``a`` that ``reads`` name.
+
+    ``parts[h]`` is the column over the support bits taken so far with the
+    reads not yet taken at ``h``.  A read bit joins pairs of parts; any
+    other bit doubles each part.  The support's lowest bits, where they are
+    the lowest reads, come as slices of ``table``.
+    """
+    t = 0
+    while t < len(reads) and reads[t] == support[t]:
+        t += 1
+    width = 1 << t
+    parts = [table[k:k + width] for k in range(0, len(table), width)]
+    for p in support[t:]:
+        if t < len(reads) and reads[t] == p:
+            parts = list(map(bytes.__add__, parts[::2], parts[1::2]))
+            t += 1
+        else:
+            parts = [part * 2 for part in parts]
+    return parts[0]
+
+
 def _blocks_bijective(f: BooleanNetwork, blocks: Iterable[tuple[int, ...]]) -> bool:
     """Is every block update in ``blocks`` a bijection?  Stops at the first
     block that is not.
 
-    Every local in a block reads the configuration before the substep, so
-    automaton ``i``'s new value at ``x`` is the same in every block.  It is
-    computed once per automaton, with the scalar lambdas, as a column of one
-    byte per configuration; a block's image of ``x`` is then ``x`` with the
-    block's bits cleared and each column's bit shifted in.
+    Each block is checked through its dependency components (``_components``,
+    from ``Expr.variables()``); each component ``C`` over the ``2**|S|``
+    configurations of its support ``S``, ``C`` with every automaton its
+    locals read, and every other bit 0.  This is exact:
+
+    - no local of one component reads a member of another, so for each fixed
+      context outside the block the block update is a product of the
+      component updates, and it is bijective iff each of them is;
+    - a component's update reads only ``S``, and ``S`` meets the block in
+      ``C`` alone, so the bits of ``S`` outside ``C`` are context the update
+      keeps.  It is bijective iff its images over those configurations,
+      context bits kept, are distinct.
+
+    Every local in a block reads the configuration before the substep, so a
+    local's value is the same in every block.  Each local is evaluated with
+    the scalar lambdas once per assignment of the variables it reads, into a
+    truth table of bytes: ``sum(2**|reads_i|)`` calls at most, never more
+    than ``n * 2**n``.  A component's images are assembled from its members'
+    tables, spread over ``S``, by C-level ``map``; its verdict is kept for
+    the other blocks that hold it.
     """
     compiled = f.compiled()
-    size = 1 << f.n
-    configs = range(size)
-    columns: dict[int, bytes] = {}
+    reads = [tuple(sorted(expr.variables())) for expr in f.locals]
+    tables: dict[int, bytes] = {}
+    verdicts: dict[frozenset[int], bool] = {}
     for block in blocks:
-        images = map(and_, configs, repeat(~sum(1 << i for i in block)))
-        for i in block:
-            if i not in columns:
-                columns[i] = bytes(map(compiled[i], configs))
-            images = map(or_, images, map(lshift, columns[i], repeat(i)))
-        if len(set(images)) != size:
-            return False
+        for component in _components(block, reads):
+            if component not in verdicts:
+                support = tuple(sorted(component.union(*(reads[i] for i in component))))
+                place = {p: k for k, p in enumerate(support)}
+                images = map(and_, range(1 << len(support)),
+                             repeat(~sum(1 << place[i] for i in component)))
+                for i in component:
+                    if i not in tables:
+                        tables[i] = _truth_table(compiled[i], reads[i])
+                    column = _spread(tables[i], reads[i], support)
+                    images = map(or_, images, map(lshift, column, repeat(place[i])))
+                verdicts[component] = len(set(images)) == 1 << len(support)
+            if not verdicts[component]:
+                return False
     return True
 
 

@@ -1,6 +1,9 @@
-"""The per-block half of ``is_bijective``: columns of the scalar locals,
-checked against ``update_block`` on every configuration."""
+"""The per-block half of ``is_bijective``: each block checked through its
+dependency components, over each component's support, from truth tables of
+the scalar locals; checked against ``update_block`` on every configuration,
+against the whole-step answer, and for the scalar calls it makes."""
 
+import os
 import random
 
 import pytest
@@ -9,10 +12,23 @@ from blockpar import dynamics
 from blockpar.dynamics import is_bijective
 from blockpar.enumeration import enum_bp
 from blockpar.errors import CrossCheckError
-from blockpar.network import BooleanNetwork, Var, Xor, and_chain, random_expression, random_network
-from blockpar.schedule import PartitionedOrder
+from blockpar.network import (
+    And,
+    BooleanNetwork,
+    Not,
+    Var,
+    Xor,
+    and_chain,
+    parse_network,
+    random_expression,
+    random_network,
+)
+from blockpar.schedule import PartitionedOrder, parse_schedule
 
 import oracles
+from test_sliced import expressions
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def random_schedule(n: int, rng: random.Random) -> PartitionedOrder:
@@ -95,3 +111,85 @@ def test_a_wrong_column_fails_the_cross_check(monkeypatch):
     monkeypatch.setattr(f, "_compiled", (lambda x: 0,) + f.compiled()[1:])
     with pytest.raises(CrossCheckError):
         is_bijective(f, mu)
+
+
+def test_a_block_that_splits_into_two_components():
+    # Block (0, 1, 2, 3): the swap {0, 1} and the pair {2, 3}, which reads
+    # automaton 4 outside the block as context.  In the parallel block,
+    # automaton 4 (the identity) joins {2, 3}.
+    reads = [(1,), (0,), (3,), (2, 4), (4,)]
+    assert dynamics._components((0, 1, 2, 3), reads) == [{0, 1}, {2, 3}]
+    assert dynamics._components((0, 1, 2, 3, 4), reads) == [{0, 1}, {2, 3, 4}]
+    mu = PartitionedOrder.parallel(5)
+    swap = [Var(1), Var(0)]
+    for pair, bijective in [([Var(3), Xor(Var(2), Var(4))], True),
+                            ([Var(3), Not(Var(2))], True),
+                            ([Var(3), And(Var(2), Var(4))], False),
+                            ([Var(3), Var(3)], False)]:
+        f = BooleanNetwork([*swap, *pair, Var(4)])
+        assert dynamics._blocks_bijective(f, [(0, 1, 2, 3)]) is bijective
+        assert agrees(f, mu) is bijective
+        assert is_bijective(f, mu) is bijective
+
+
+def test_a_component_joined_only_through_a_one_way_read():
+    # x0 reads x1; x1 reads only itself.  One component, {0, 1}.
+    assert dynamics._components((0, 1), [(0, 1), (1,)]) == [{0, 1}]
+    mu = PartitionedOrder.parallel(3)
+    for pair, bijective in [([Xor(Var(0), Var(1)), Not(Var(1))], True),
+                            ([Var(1), Not(Var(1))], False),
+                            ([Xor(Var(0), Var(1), Var(2)), Var(1)], True),
+                            ([And(Var(0), Var(1)), Var(1)], False)]:
+        f = BooleanNetwork([*pair, Var(2)])
+        assert dynamics._blocks_bijective(f, [(0, 1)]) is bijective
+        assert agrees(f, mu) is bijective
+        assert is_bijective(f, mu) is bijective
+
+
+def test_scalar_calls_at_the_graph_cap(monkeypatch):
+    """One scalar call per automaton and assignment of the variables it
+    reads, on a sparse 20-automaton network from perfbench's bijective
+    generator; full-space columns would make 20 * 2**20."""
+    with open(os.path.join(DATA, "bijective-20.bn")) as handle:
+        f = parse_network(handle.read())
+    with open(os.path.join(DATA, "bijective-20.schedule")) as handle:
+        mu = parse_schedule(handle.read(), n=f.n)
+    budget = sum(1 << len(expr.variables()) for expr in f.locals)
+    assert f.n == dynamics.DEFAULT_GRAPH_N_CAP and budget * 1000 < f.n << f.n
+    calls = 0
+
+    def counting(local):
+        def call(x):
+            nonlocal calls
+            calls += 1
+            if calls > budget:
+                raise AssertionError(f"more than {budget} scalar calls")
+            return local(x)
+        return call
+
+    monkeypatch.setattr(f, "_compiled", tuple(map(counting, f.compiled())))
+    assert dynamics._blocks_bijective(f, set(mu.substeps()))
+    assert calls <= budget
+
+
+def test_per_block_equals_the_oracle_and_the_whole_step_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.data())
+    @hypothesis.settings(max_examples=150, deadline=None)
+    def check(data):
+        n = data.draw(st.integers(1, 8), label="n")
+        # ``x_i ^ h`` locals make bijective blocks common.
+        locals_ = [Xor(Var(i), expr) if data.draw(st.booleans()) else expr
+                   for i, expr in enumerate(data.draw(
+                       st.lists(expressions(n), min_size=n, max_size=n), label="locals"))]
+        f = BooleanNetwork(locals_)
+        order = data.draw(st.permutations(range(n)), label="order")
+        cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        mu = PartitionedOrder(n, [order[a:b] for a, b in zip(bounds, bounds[1:])])
+        answer = dynamics._blocks_bijective(f, set(mu.substeps()))
+        assert answer == oracles.per_block_bijective(f, mu) == is_bijective(f, mu)
+
+    check()

@@ -25,6 +25,8 @@ from blockpar.dynamics import (
 )
 from blockpar.errors import ResourceCapError
 from blockpar.network import (
+    BooleanNetwork,
+    Const,
     format_config,
     identity_network,
     parse_config,
@@ -145,6 +147,19 @@ class TestFixedPoints:
     def test_single_verification(self):
         assert is_fixed_point(SWAP2, PAR2, 0)
         assert not is_fixed_point(SWAP2, PAR2, 1)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_the_one_cycles_of_the_graph(self, n):
+        from blockpar.enumeration import enum_bp
+
+        rng = random.Random(0xF1 + n)
+        networks = [random_network(n, rng), identity_network(n),
+                    BooleanNetwork(Const(rng.randrange(2)) for _ in range(n))]
+        for f in networks:
+            for mu in enum_bp(n):
+                graph = transition_graph(f, mu)
+                expected = frozenset(c[0] for c in graph.cycles if len(c) == 1)
+                assert fixed_points(f, mu) == expected
 
 
 class TestLimitCycles:

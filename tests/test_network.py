@@ -222,3 +222,24 @@ def test_random_network_deterministic():
     a = random_network(4, random.Random(99))
     b = random_network(4, random.Random(99))
     assert a == b
+
+
+def test_variables_bound_what_the_scalar_lambda_reads():
+    """Flipping a bit outside ``variables()`` never changes the compiled
+    scalar lambda.  The per-block bijectivity check splits blocks and bounds
+    supports by ``variables()``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from test_sliced import expressions
+
+    @hypothesis.given(st.data())
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def check(data):
+        n = data.draw(st.integers(1, 6), label="n")
+        expr = data.draw(expressions(n), label="expr")
+        local = BooleanNetwork([expr] * n).compiled()[0]
+        outside = [i for i in range(n) if i not in expr.variables()]
+        for x in range(1 << n):
+            assert all(local(x ^ 1 << i) == local(x) for i in outside)
+
+    check()
