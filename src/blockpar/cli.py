@@ -204,7 +204,7 @@ def cmd_enum(args) -> dict:
     from .partitions import Partition
 
     partition = None if args.partition is None else Partition.parse(args.partition)
-    chunks = enumeration.class_chunks(args.n, args.klass, partition, WRITE_CHUNK)
+    chunks = enumeration.class_chunks(args.n, args.klass, partition)
     with _out_stream(args, binary=True) as stream, closing(chunks):
         emitted = _write_lines(stream, chunks, args.limit)
     print(f"count={emitted}", file=sys.stderr)

@@ -19,41 +19,42 @@ row fills the same way in every class, in lexicographic order of the
 permutations of its members, keeping those whose minimum lies within the
 first ``a[j]`` positions; :func:`_one_row` lists them with ``itertools``.
 
-Streams are lazy single-consumer generators with a deterministic order for a
-fixed ``n`` and class; each stream function checks its arguments when
-called.  A schedule is the concatenation of one piece per matrix, smallest
-part size first, which is the canonical o-block order.
-Fillings commute with increasing relabelling: the fillings of a content
-``chosen`` are those of the matrix indices ``0 .. j*m - 1`` with index ``k``
-read as ``chosen[k]``.  So one recursion fills each matrix once per
-partition, over its indices, and keeps those fillings as templates; each
-content choice then relabels them and runs no filling recursion.  Matrices
-with too many fillings to hold, and a partition's only part size, stream
-their fillings instead.  :func:`enum_class` wraps each schedule's sorted
-rows in a :class:`PartitionedOrder`.
+Each stream function checks its arguments when called.  Within a partition
+the order is mixed-radix: each matrix but the last chooses its members (the
+last takes the rest), and each matrix has a filling.  Fillings commute with
+increasing relabelling, so in a partition of several part sizes a matrix
+with at most ``_MATERIALIZE_LIMIT`` fillings is filled once, over its
+indices, and its filling digit is innermost; any other matrix's filling
+follows its members.  A schedule concatenates one piece per matrix,
+smallest part size first, which is the canonical o-block order.
 
-:func:`class_chunks` gives the schedule text, each line
-``serialize_schedule(mu)`` and a newline, as ``bytes`` chunks of whole
-lines, and renders a partition a block at a time where it can.  If every
-matrix holds templates, the lines of one content choice are the product of
-the matrices' templates: one block.  The block is rendered once per
-partition with every index written as placeholder bytes, one per decimal
-place of ``n - 1``, taken from the bytes schedule text never holds; each
-content choice is then one ``bytes.translate`` that writes its labels'
-digits and deletes the places a shorter label leaves empty.  The one matrix
-of a one-size partition with two or more rows and columns streams its first
-column (for ``bp``, the members of the row holding 0) as the content choice
-and takes the fillings of the rest as the block.  The partitions left over
--- a matrix above ``_MATERIALIZE_LIMIT`` fillings or a block above that many
-lines, a one-row or one-column matrix alone, more indices than placeholders
--- stream line by line, in chunks.  :func:`class_lines` is a line view of
-the chunks, and :func:`class_count` counts their newlines.  Every stream
-runs in the calling process.
+:func:`_walk` yields ``(block, labels)``.  The innermost filling digits, at
+most ``_MATERIALIZE_LIMIT`` lines, are the block, written over the indices;
+each choice of the outer digits labels the indices.  An outer filling's
+labels take its matrix's indices row by row.  The digit next out may split
+and put a head of its matrix's labels outer: a prefix of a one-row matrix
+(the block then holds the permutations of the positions left, which the
+labels left, ascending, turn into the prefix's permutations in order), or,
+for a partition's only matrix, its first column (for ``bp``, the row holding
+0, whose place among the other rows depends on the labels, so each head
+picks its groups from a table).  A block is a tuple of groups, each the
+product of its factors, which are lists of pieces of rows.
 
-A stream nests one generator per part size and a filler of a matrix with
-two or more rows one more per column (per row for ``bp``); a one-row matrix
-nests none.  The first schedule nests as deep as any, so a partition too
-deep for the interpreter's recursion limit raises
+Text and rows are two views of the walk.  :func:`class_chunks` renders each
+group once with every index as placeholder bytes, one per decimal place of
+``n - 1``, from the bytes schedule text never holds; each block is then one
+``bytes.translate`` that writes its labels' digits and deletes the places a
+shorter label leaves empty.  :func:`enum_class` relabels each factor, once
+per change of the labels it reads, and concatenates the pieces.  Past 100
+automata the placeholders run out, and the text is the rows view passed
+through :func:`~blockpar.schedule.format_oblocks`.  :func:`class_lines` is a
+line view of the chunks, and :func:`class_count` counts their newlines.
+Every stream runs in the calling process.
+
+The walk nests one generator per outer matrix, and the filler of a matrix
+with two or more rows one more per column (per row for ``bp``); a one-row
+matrix nests none.  The first schedule nests as deep as any, so a partition
+too deep for the interpreter's recursion limit raises
 :class:`~blockpar.errors.ResourceCapError` before the first schedule.
 """
 
@@ -61,10 +62,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from functools import partial
 from itertools import (
-    chain, combinations, compress, filterfalse, islice, permutations, product, repeat, starmap,
+    accumulate, chain, combinations, compress, filterfalse, permutations, product, repeat, starmap,
 )
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceCapError
@@ -78,13 +81,9 @@ from .schedule import (
     format_oblocks,
 )
 
-#: Most fillings of one matrix held as templates; bigger matrices fall back
-#: to fully lazy nesting so early stream consumers never stall.
+#: Most fillings of one matrix held as templates, and most lines of a block;
+#: bigger matrices fill outside the block, so early consumers never stall.
 _MATERIALIZE_LIMIT = 1 << 17
-
-#: Lines per chunk :func:`class_count` reads from a streamed partition, so
-#: counting holds no more than that many lines of text at once.
-_COUNT_BATCH = 1024
 
 
 def min_column_budgets(p: Partition) -> dict[int, int]:
@@ -199,151 +198,196 @@ def _one_row(labels: tuple, budget: int) -> Iterator[tuple]:
     return chain(map(first.__add__, permutations(rest)), chain.from_iterable(leads))
 
 
-def _matrices(p: Partition, kind: str) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """``p``'s matrices as ``(part size, multiplicity)``, largest size first,
-    and the column budget of each part size under ``kind``."""
+def _group(items: Iterable) -> tuple:
+    """A group's factors from ``items`` in line order: factors, lists or
+    one-pass iterators of pieces, and fixed pieces, tuples of rows, each run
+    of which joins into one one-piece factor."""
+    group: list = []
+    for item in items:
+        if isinstance(item, tuple) and group and isinstance(group[-1], tuple):
+            group[-1] += item
+        else:
+            group.append(item)
+    return tuple([item] if isinstance(item, tuple) else item for item in group)
+
+
+def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """``(block, labels)`` for each block of ``p``'s members of class
+    ``kind``, in stream order; the module docstring describes both."""
     sizes = [(j, p.m(j)) for j in p.part_sizes()]
-    if kind == CLASS_BP_STAR:
-        return sizes, min_column_budgets(p)
-    return sizes, {j: j for j, _ in sizes}
-
-
-def _fillings(kind: str, elements: tuple[int, ...], j: int, m: int, budget: int
-              ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every filling of the ``m x j`` matrix holding ``elements``, as rows,
-    in the order of the filler of ``kind``."""
-    if m == 1:
-        return zip(_one_row(elements, budget))
-    if kind == CLASS_BP:
-        return _fill_rows(elements, j, m)
-    return _fill_columns_shifted(elements, j, m, budget)
-
-
-def _rows_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool
-               ) -> tuple[tuple[int, ...], ...]:
-    """A matrix filling as its o-blocks in canonical order."""
-    return tuple(sorted(rows))
-
-
-def _rows_row(labels: tuple[int, ...], budget: int, opens: bool, closes: bool
-              ) -> Iterator[tuple[tuple[int, ...]]]:
-    """The fillings of a one-row matrix as their one o-block each."""
-    return zip(_one_row(labels, budget))
-
-
-def _rows_relabel(templates: Iterable[tuple[tuple[int, ...], ...]],
-                  labels: tuple[int, ...], opens: bool, closes: bool
-                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Each template's rows with index ``k`` replaced by ``labels[k]``, lazily."""
-    get = labels.__getitem__
-    return (tuple([tuple(map(get, row)) for row in rows]) for rows in templates)
-
-
-def _text_piece(rows: tuple[tuple[int, ...], ...], opens: bool, closes: bool) -> bytes:
-    """A matrix filling as its piece of the schedule text."""
-    return format_oblocks(sorted(rows), opens, closes).encode()
-
-
-def _text_row(labels: tuple[int, ...], budget: int, opens: bool, closes: bool
-              ) -> Iterator[bytes]:
-    """The fillings of a one-row matrix as their pieces of the schedule text:
-    each label is turned into bytes once, and each piece is the opening,
-    the row's labels joined by commas, and the closing."""
-    rows = map(b",".join, _one_row(tuple(b"%d" % label for label in labels), budget))
-    return map(b"".join, zip(repeat(b"[[" if opens else b",["), rows,
-                             repeat(b"]]" if closes else b"]")))
-
-
-def _text_relabel_rows(templates: Iterable[tuple[tuple[int, ...], ...]],
-                       labels: tuple[int, ...], opens: bool, closes: bool
-                       ) -> Iterator[bytes]:
-    """Each template relabelled by :func:`_rows_relabel`, as its piece of text."""
-    return map(_text_piece, _rows_relabel(templates, labels, opens, closes),
-               repeat(opens), repeat(closes))
-
-
-#: A renderer is a triple:
-#:
-#: * ``piece(rows, opens, closes)`` renders one filling of a matrix;
-#: * ``row(labels, budget, opens, closes)`` renders every filling of a
-#:   one-row matrix holding ``labels``, as :func:`_one_row` lists them;
-#: * ``relabel(templates, labels, opens, closes)`` renders the fillings of
-#:   the matrix whose ``k``-th smallest member is ``labels[k]`` from the
-#:   fillings of its indices, ``templates``.
-_ROWS = (_rows_piece, _rows_row, _rows_relabel)
-_TEXT = (_text_piece, _text_row, _text_relabel_rows)
-
-
-def _partition_stream(n: int, p: Partition, kind: str, renderer: tuple) -> Iterator:
-    """Every schedule of class ``kind`` with support ``p``, each the
-    concatenation of one piece per matrix, rendered by ``renderer``.
-
-    Pieces are concatenated smallest part size first, which is the canonical
-    o-block order; ``opens`` marks the first piece and ``closes`` the last.
-    A one-row matrix gets its fillings from :func:`_one_row`; the others
-    from the filler of ``kind``.
-
-    A matrix with at most ``_MATERIALIZE_LIMIT`` fillings is filled once per
-    partition, over its indices, and each content choice relabels those
-    templates.  Above the last matrix, the relabelled pieces are listed per
-    content choice, so the subtree below is walked once per choice, not once
-    per filling; the last matrix is relabelled once per choice of the
-    matrices above it.  A matrix with more fillings, or filled only once
-    because it is ``p``'s only part size, streams its fillings.
-    """
-    piece, row, relabel = renderer
-    sizes, budgets = _matrices(p, kind)
+    budgets = min_column_budgets(p) if kind == CLASS_BP_STAR else {j: j for j, _ in sizes}
     last = len(sizes) - 1
+    limit = _MATERIALIZE_LIMIT
+    counts = [_fill_count(kind, j, m, budgets[j]) for j, m in sizes]
+    templated = [last > 0 and count <= limit for count in counts]
+    starts = [0, *accumulate(j * m for j, m in sizes)]
 
-    def pieces(elements, j, m, opens, closes) -> Iterator:
-        """Every filling of the ``m x j`` matrix holding ``elements``, rendered."""
+    # The digits, outermost first, as ``(k, chooses, fills)``: whether they
+    # choose matrix k's members, fill it, or both.
+    plan = [(k, True, not templated[k]) for k in range(last)] + [(last, False, True)]
+    plan += [(k, False, True) for k in reversed(range(last)) if templated[k]]
+    lines, inside = 1, set()
+    while last and not plan[-1][1] and lines * counts[plan[-1][0]] <= limit:
+        k = plan.pop()[0]
+        inside.add(k)
+        lines *= counts[k]
+
+    def fills(k: int, labels: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Matrix ``k``'s fillings over ``labels`` in the filler's order, as
+        rows in canonical order."""
+        j, m = sizes[k]
         if m == 1:
-            return row(elements, budgets[j], opens, closes)
-        fillings = _fillings(kind, elements, j, m, budgets[j])
-        return map(piece, fillings, repeat(opens), repeat(closes))
+            return zip(_one_row(labels, budgets[j]))
+        if kind == CLASS_BP:
+            return map(tuple, map(sorted, _fill_rows(labels, j, m)))
+        return _fill_columns_shifted(labels, j, m, budgets[j])
 
-    templates = [
-        list(map(_rows_piece, _fillings(kind, tuple(range(j * m)), j, m, budgets[j]),
-                 repeat(False), repeat(False)))
-        if last > 0 and _fill_count(kind, j, m, budgets[j]) <= _MATERIALIZE_LIMIT
-        else None
-        for j, m in sizes
-    ]
+    def relabels(k: int, labels: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Matrix ``k``'s fillings over ``labels``, each as its rows' labels."""
+        return map(tuple, map(chain.from_iterable, fills(k, labels)))
 
-    def rec(remaining: tuple[int, ...], idx: int) -> Iterator:
-        j, m = sizes[idx]
-        closes = idx == 0
-        if idx == last:
-            if templates[idx] is None:
-                yield from pieces(remaining, j, m, True, closes)
-            else:
-                yield from relabel(templates[idx], remaining, True, closes)
-            return
-        nxt = idx + 1
-        for chosen in combinations(remaining, j * m):
-            rest = _without(remaining, chosen)
-            if templates[idx] is None:
-                # A templated last matrix is relabelled once, not per head.
-                tails = (list(rec(rest, nxt))
-                         if nxt == last and templates[nxt] is not None else None)
-                for head in pieces(chosen, j, m, False, closes):
-                    for tail in rec(rest, nxt) if tails is None else tails:
-                        yield tail + head
-            else:
-                heads = list(relabel(templates[idx], chosen, False, closes))
-                for tail in rec(rest, nxt):
-                    yield from map(tail.__add__, heads)
+    # The block holds an inside matrix's templates, and an outer matrix's
+    # indices in row order, which its filling's labels take row by row.
+    # Each view reads a factor once, so a factor is a one-pass iterator
+    # unless groups share it.
+    pieces = {}
+    for k, (j, m) in enumerate(sizes):
+        indices = tuple(range(starts[k], starts[k + 1]))
+        pieces[k] = fills(k, indices) if k in inside else tuple(zip(*[iter(indices)] * j))
+    choose = {k: partial(relabels, k) for k, _, fill in plan if fill}
+    pick = None
 
-    def stream() -> Iterator:
-        try:
-            yield from rec(tuple(range(n)), 0)
-        except RecursionError:
-            raise ResourceCapError(
-                f"the {kind} stream of a partition of {n} nests deeper than"
-                f" the recursion limit of {sys.getrecursionlimit()}"
-            ) from None
+    # A split puts a head of matrix x's labels outer: ``width`` labels, the
+    # minimum within the first ``reach`` of them unless ``reach`` is 0.
+    x, _, split = plan[-1]
+    j, m = sizes[x]
+    budget = budgets[j]
+    reach = budget if budget < j else 0
+    width = tail = 0
+    while (split and m == 1 and tail < j - 1 and tail < j - reach
+           and factorial(tail + 1) * lines * n <= limit):
+        tail += 1
+    if tail > 1:
+        # The head is a prefix of the row, and the block the permutations
+        # of the positions left, which the labels left, ascending, turn into
+        # that prefix's permutations in order.
+        width = j - tail
+        prefix = tuple(range(starts[x], starts[x] + width))
+        pieces[x] = ((prefix + perm,)
+                     for perm in permutations(range(prefix[-1] + 1, starts[x + 1])))
+    elif not last and j > 1 and m > 1 and kind != CLASS_BP and _fill_count(
+            CLASS_BP0, j - 1, m, j - 1) <= limit:
+        # The head is the first column; the other columns, always free, are
+        # the block.
+        width = m
+        pieces[x] = (tuple((i,) + row for i, row in enumerate(rows))
+                     for rows in _fill_columns_shifted(tuple(range(m, n)), j - 1, m, j - 1))
+    elif not last and j > 1 and m > 1 and kind == CLASS_BP and _fill_count(
+            CLASS_BP, j, m - 1, j) * factorial(j) * m <= limit:
+        # The head is the row holding 0.  :func:`_fill_rows` fills the other
+        # rows, then permutes that row innermost; where the row goes among
+        # the others depends on the labels of its first member and of
+        # theirs, so each head picks one group per other rows' filling and
+        # first member.
+        width, reach = j, 1
+        others = [tuple(sorted(rows)) for rows in _fill_rows(tuple(range(j, n)), j, m - 1)]
+        firsts = [[row[0] - j for row in rows] for rows in others]
+        perms = [(perm,) for perm in permutations(range(j))]
+        run = len(perms) // j
+        table = [[[_group(item for item in (rows[:at], perms[lead * run:(lead + 1) * run],
+                                            rows[at:]) if item)
+                   for at in range(m)] for lead in range(j)] for rows in others]
 
-    return stream()
+        def pick(labels: tuple[int, ...]) -> list:
+            # Label ``row[lead] - lead`` has that many labels of the other
+            # rows below it.
+            return [groups[lead][bisect_left(first, label - lead)]
+                    for groups, first in zip(table, firsts)
+                    for lead, label in enumerate(labels[:j])]
+
+    def heads(labels: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """``labels`` with each head, in the filler's order, moved to the front."""
+        for head in (permutations if m == 1 else combinations)(labels, width):
+            if not reach or labels[0] in head[:reach]:
+                yield head + _without(labels, head)
+
+    if width:
+        choose[x] = heads
+
+    order = range(last, -1, -1)
+    if width and any(k > x for k in inside):
+        # The split matrix precedes some of the block's in line order.
+        shared = {k: list(pieces[k]) if k in inside else pieces[k] for k in order}
+        block = tuple(_group(piece if k == x else shared[k] for k in order)
+                      for piece in pieces[x])
+    else:
+        block = (_group(pieces[k] for k in order),)
+    assign = [tuple(range(starts[k], starts[k + 1])) for k in range(last + 1)]
+
+    def walk(d: int, remaining: tuple[int, ...]) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+        k, chooses, fill = plan[d]
+        held = assign[k]
+        leaf = d + 1 == len(plan)
+        for chosen in combinations(remaining, len(held)) if chooses else (held,):
+            if chooses:
+                assign[last] = rest = _without(remaining, chosen)
+            for labels in choose[k](chosen) if fill else (chosen,):
+                assign[k] = labels
+                if leaf:
+                    yield (block if pick is None else pick(labels),
+                           tuple(chain.from_iterable(assign)))
+                else:
+                    yield from walk(d + 1, rest if chooses else remaining)
+        assign[k] = held
+
+    try:
+        yield from walk(0, tuple(range(n)))
+    except RecursionError:
+        raise ResourceCapError(
+            f"the {kind} stream of a partition of {n} nests deeper than"
+            f" the recursion limit of {sys.getrecursionlimit()}"
+        ) from None
+
+
+def _joined(factors: list) -> Iterator[tuple]:
+    """Each choice of one piece per factor, outermost first, concatenated."""
+    first, *rest = factors
+    lines: Iterator[tuple] = iter(first)
+    for factor in rest:
+        lines = chain.from_iterable(map(map, map(attrgetter("__add__"), lines), repeat(factor)))
+    return lines
+
+
+def _rows(n: int, p: Partition, kind: str) -> Iterator[tuple]:
+    """The lines of :func:`_walk`'s blocks as rows of labels.
+
+    A factor is relabelled once for each change of the labels it reads, so
+    a larger matrix's templates are not relabelled again while only the
+    smaller matrices' members change.
+    """
+    memo: dict = {}
+
+    def relabelled(factor: list, labels: tuple[int, ...]) -> list:
+        entry = memo.get(id(factor))
+        if entry is None:
+            # Each getter leads with index 0, so it returns a tuple even for
+            # one index; the cuts skip it.
+            pieces = list(factor)
+            rows = [row for piece in pieces for row in piece]
+            flat = list(chain.from_iterable(rows))
+            ends = list(accumulate(map(len, rows), initial=1))
+            entry = memo[id(factor)] = [itemgetter(0, *set(flat)), itemgetter(0, *flat),
+                                        list(map(slice, ends, ends[1:])), len(pieces[0]),
+                                        None, None]
+        reads, getter, cuts, m, seen, done = entry
+        if reads(labels) != seen:
+            got = getter(labels)
+            done = list(zip(*[map(got.__getitem__, cuts)] * m))
+            entry[4:] = reads(labels), done
+        return done
+
+    return chain.from_iterable(_joined([relabelled(factor, labels) for factor in group])
+                               for block, labels in _walk(n, p, kind) for group in block)
 
 
 # ---------------------------------------------------------------------------
@@ -383,133 +427,31 @@ def _placeholders(n: int):
     return slots, relabel
 
 
-def _slot_piece(rows: Iterable[tuple[int, ...]], slots: list, opens: bool, closes: bool
-                ) -> bytes:
-    """Rows of indices, in the given order, as text of placeholder bytes."""
-    body = b"],[".join([b",".join(map(slots.__getitem__, row)) for row in rows])
-    return (b"[[" if opens else b",[") + body + (b"]]" if closes else b"]")
-
-
-def _product_blocks(n: int, kind: str, sizes: list, budgets: dict, slots: list):
-    """(block, labels) per content choice of a partition of several part
-    sizes, or ``None`` if a block would hold more than
-    ``_MATERIALIZE_LIMIT`` lines.
-
-    Matrix ``idx`` holds the indices after those of the larger matrices.
-    The block is the product of the matrices' templates, smallest part size
-    outermost as in :func:`_partition_stream`, and ``labels`` the members
-    chosen for each matrix in turn.
-    """
-    counts = [_fill_count(kind, j, m, budgets[j]) for j, m in sizes]
-    if prod(counts) > _MATERIALIZE_LIMIT:
-        return None
-    last = len(sizes) - 1
-    templates, start = [], 0
-    for idx, (j, m) in enumerate(sizes):
-        indices = tuple(range(start, start + j * m))
-        templates.append([_slot_piece(sorted(rows), slots, idx == last, idx == 0)
-                          for rows in _fillings(kind, indices, j, m, budgets[j])])
-        start += j * m
-    block = b"".join(map(b"".join, product(*reversed(templates), [b"\n"])))
-
-    def choices(remaining: tuple[int, ...], idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == last:
-            yield remaining
-            return
-        j, m = sizes[idx]
-        for chosen in combinations(remaining, j * m):
-            for rest in choices(_without(remaining, chosen), idx + 1):
-                yield chosen + rest
-
-    return zip(repeat(block), choices(tuple(range(n)), 0))
-
-
-def _first_column_blocks(n: int, j: int, m: int, budget: int, slots: list):
-    """(block, labels) per first column of the one ``m x j`` column-class
-    matrix, or ``None`` if a block would be too long.
-
-    Indices ``0 .. m-1`` are the first column and the rest fill the other
-    columns, so a block is every filling of the ``m x (j-1)`` rest.  The
-    one-size budget is ``j`` (``bp0``) or 1 (``bpstar``, the minimum forced
-    into the first column), so the rest is always free.
-    """
-    if _fill_count(CLASS_BP0, j - 1, m, j - 1) > _MATERIALIZE_LIMIT:
-        return None
-    block = b"".join(
-        _slot_piece([(i,) + row for i, row in enumerate(rows)], slots, True, True) + b"\n"
-        for rows in _fill_columns_shifted(tuple(range(m, n)), j - 1, m, j - 1))
-    everyone = tuple(range(n))
-    if budget > 1:
-        columns = combinations(everyone, m)
-    else:
-        columns = map((0,).__add__, combinations(everyone[1:], m - 1))
-    return ((block, column + _without(everyone, column)) for column in columns)
-
-
-def _first_row_blocks(n: int, j: int, m: int, slots: list):
-    """(block, labels) per set of members of the row holding 0 in the one
-    ``m x j`` ``bp`` matrix, or ``None`` if its texts would be too long.
-
-    Indices ``0 .. j-1`` are that row, and the fillings of the other rows
-    are the tails.  :func:`_fill_rows` puts the row's permutations innermost,
-    and a line lists rows by first member, so where a permutation's row
-    goes among a tail's rows depends on the labels of its first member and
-    of the tail's.  Each tail's lines are kept once per leading index and
-    insertion point, and each choice joins the ones its labels select.
-    """
-    if _fill_count(CLASS_BP, j, m - 1, j) * factorial(j) * m > _MATERIALIZE_LIMIT:
-        return None
-
-    def bracket(row: tuple[int, ...]) -> bytes:
-        return b"[" + b",".join(map(slots.__getitem__, row)) + b"]"
-
-    tails = [sorted(rows) for rows in _fill_rows(tuple(range(j, n)), j, m - 1)]
-    rows = list(map(bracket, permutations(range(j))))
-    run = len(rows) // j
-    leads = [rows[lead * run:(lead + 1) * run] for lead in range(j)]
-    # texts[t][lead][at]: the lines of tail t with each row led by index
-    # ``lead`` placed as row ``at``.
-    texts = []
-    for tail in tails:
-        pieces = list(map(bracket, tail))
-        cuts = [(b"[" + b"".join([piece + b"," for piece in pieces[:at]]),
-                 b"".join([b"," + piece for piece in pieces[at:]]) + b"]\n")
-                for at in range(m)]
-        texts.append([[before + (after + before).join(runs) + after for before, after in cuts]
-                      for runs in leads])
-    firsts = [[row[0] - j for row in tail] for tail in tails]
-    others = tuple(range(1, n))
-
-    def blocks() -> Iterator[tuple[bytes, tuple[int, ...]]]:
-        for chosen in combinations(others, j - 1):
-            row = (0,) + chosen
-            # Label ``row[lead] - lead`` has that many tail labels below it.
-            block = b"".join([text[lead][bisect_left(first, label - lead)]
-                              for text, first in zip(texts, firsts)
-                              for lead, label in enumerate(row)])
-            yield block, row + _without(others, chosen)
-
-    return blocks()
-
-
-def _partition_blocks(n: int, p: Partition, kind: str) -> Optional[Iterator[bytes]]:
-    """The text of ``p``'s members, one relabelled block per content choice,
-    in :func:`_partition_stream`'s order; ``None`` where ``p`` streams."""
+def _text_chunks(n: int, p: Partition, kind: str) -> Iterator[bytes]:
+    """The text of ``p``'s members, one chunk per block of :func:`_walk`
+    (per line past 100 automata)."""
     marks = _placeholders(n)
     if marks is None:
-        return None
+        return (f"{format_oblocks(rows)}\n".encode() for rows in _rows(n, p, kind))
     slots, relabel = marks
-    sizes, budgets = _matrices(p, kind)
-    (j, m), *smaller = sizes
-    if smaller:
-        pairs = _product_blocks(n, kind, sizes, budgets, slots)
-    elif j == 1 or m == 1:
-        return None
-    elif kind == CLASS_BP:
-        pairs = _first_row_blocks(n, j, m, slots)
-    else:
-        pairs = _first_column_blocks(n, j, m, budgets[j], slots)
-    return None if pairs is None else starmap(relabel, pairs)
+    texts: dict = {}
+
+    def text(group: tuple) -> bytes:
+        """The group's lines with placeholders, kept for the next block."""
+        parts = [[b"],[".join([b",".join(map(slots.__getitem__, row)) for row in piece])
+                  for piece in factor] for factor in group]
+        texts[id(group)] = b"".join([b"[[" + b"],[".join(line) + b"]]\n"
+                                     for line in product(*parts)])
+        return texts[id(group)]
+
+    held = [None, b""]
+
+    def render(block: tuple, labels: tuple[int, ...]) -> bytes:
+        if block is not held[0]:
+            held[:] = block, b"".join([texts.get(id(group)) or text(group) for group in block])
+        return relabel(held[1], labels)
+
+    return starmap(render, _walk(n, p, kind))
 
 
 def _supports(n: int, kind: str, partition: Optional[Partition]) -> Iterable[Partition]:
@@ -538,36 +480,15 @@ def enum_class(n: int, kind: str, partition: Optional[Partition] = None
 
     ``partition`` restricts the stream to schedules with that support.
     """
-    from_rows = PartitionedOrder._from_rows
-    return (from_rows(n, rows) for p in _supports(n, kind, partition)
-            for rows in _partition_stream(n, p, kind, _ROWS))
+    lines = map(_rows, repeat(n), _supports(n, kind, partition), repeat(kind))
+    return map(PartitionedOrder._from_rows, repeat(n), chain.from_iterable(lines))
 
 
-def _batched(lines: Iterator[bytes], batch: Optional[int]) -> Iterator[bytes]:
-    """``lines`` joined, each followed by a newline, ``batch`` at a time."""
-    while chunk := list(islice(lines, batch)):
-        yield b"\n".join(chunk) + b"\n"
-
-
-def _partition_chunks(n: int, p: Partition, kind: str, batch: Optional[int]
-                      ) -> Iterator[bytes]:
-    blocks = _partition_blocks(n, p, kind)
-    if blocks is not None:
-        return blocks
-    return _batched(_partition_stream(n, p, kind, _TEXT), batch)
-
-
-def class_chunks(n: int, kind: str, partition: Optional[Partition] = None,
-                 batch: Optional[int] = None) -> Iterator[bytes]:
+def class_chunks(n: int, kind: str, partition: Optional[Partition] = None
+                 ) -> Iterator[bytes]:
     """The lines of :func:`class_lines`, each ending in a newline, as
-    ``bytes`` chunks of whole lines.
-
-    A partition rendered a block at a time gives one chunk per content
-    choice; one that streams gives chunks of ``batch`` lines, or one chunk
-    if ``batch`` is ``None``.
-    """
-    return _chained(_partition_chunks(n, p, kind, batch)
-                    for p in _supports(n, kind, partition))
+    ``bytes`` chunks of whole lines, one per block."""
+    return _chained(_text_chunks(n, p, kind) for p in _supports(n, kind, partition))
 
 
 def _lines(chunks: Iterable[bytes]) -> Iterator[str]:
@@ -582,7 +503,7 @@ def class_lines(n: int, kind: str, partition: Optional[Partition] = None
     partition)``, without a newline, but builds no schedule objects: it is
     a line view of :func:`class_chunks`.
     """
-    return _lines(class_chunks(n, kind, partition, 1))
+    return _lines(class_chunks(n, kind, partition))
 
 
 def enum_bp(n: int, partition: Optional[Partition] = None) -> Iterator[PartitionedOrder]:
@@ -602,9 +523,8 @@ def enum_bp_star(n: int, partition: Optional[Partition] = None
 
 
 def class_count(n: int, kind: str) -> int:
-    """Cardinality of a class stream: the newlines of :func:`class_chunks`,
-    read ``_COUNT_BATCH`` lines at a time where a partition streams."""
-    return sum(chunk.count(b"\n") for chunk in class_chunks(n, kind, None, _COUNT_BATCH))
+    """Cardinality of a class stream: the newlines of :func:`class_chunks`."""
+    return sum(chunk.count(b"\n") for chunk in class_chunks(n, kind))
 
 
 def sharded_lines(n: int, kind: str, workers: int) -> Iterator[str]:

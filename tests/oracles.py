@@ -251,7 +251,7 @@ def template_stream(n: int, p: Partition, kind: str, renderer=TEXT):
     filling relabelled by ``str.format`` for every content choice.
 
     Matrices are templated, and lines ordered, by the same rule as
-    ``enumeration._partition_stream`` under the current
+    ``enumeration._walk`` under the current
     ``enumeration._MATERIALIZE_LIMIT``; nothing is rendered as a block.
     """
     piece, row, relabel = renderer

@@ -184,11 +184,18 @@ def test_per_block_equals_the_oracle_and_the_whole_step_property():
         locals_ = [Xor(Var(i), expr) if data.draw(st.booleans()) else expr
                    for i, expr in enumerate(data.draw(
                        st.lists(expressions(n), min_size=n, max_size=n), label="locals"))]
-        f = BooleanNetwork(locals_)
         order = data.draw(st.permutations(range(n)), label="order")
         cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
         bounds = [0, *sorted(cuts), n]
         mu = PartitionedOrder(n, [order[a:b] for a, b in zip(bounds, bounds[1:])])
+        # Swap pairs ``x_i = x_j, x_j = x_i`` of o-block heads, which the
+        # first substep updates together: a bijective block only if its
+        # dependency components join the pair.
+        heads = data.draw(st.permutations([block[0] for block in mu.oblocks]), label="heads")
+        for i, j in zip(heads[::2], heads[1::2]):
+            if data.draw(st.booleans(), label=f"swap {i} {j}"):
+                locals_[i], locals_[j] = Var(j), Var(i)
+        f = BooleanNetwork(locals_)
         answer = dynamics._blocks_bijective(f, set(mu.substeps()))
         assert answer == oracles.per_block_bijective(f, mu) == is_bijective(f, mu)
 

@@ -127,33 +127,58 @@ def _filled_one_row(renderer: tuple, kind: str) -> tuple:
 LIMITS = [0, 6, 90, enumeration._MATERIALIZE_LIMIT]
 
 
+def drain_against_the_oracle(kind: str, limit: int, one_row: bool, monkeypatch) -> None:
+    """Every partition of n <= 8 with a one-row matrix (or without one),
+    drained once per stream: class_lines, enum_class serialised, and the
+    template oracle, whose one-row matrices also take their fillings from
+    the fillers where the partition has one.  Under these limits the blocks
+    hold products of templates, first rows and first columns, permutation
+    suffixes and single lines."""
+    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
+    filled = _filled_one_row(oracles.TEXT, kind)
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            if (1 in map(p.m, p.part_sizes())) != one_row:
+                continue
+            streams = [class_lines(n, kind, p), map(serialize_schedule, enum_class(n, kind, p)),
+                       oracles.template_stream(n, p, kind)]
+            if one_row:
+                streams.append(oracles.template_stream(n, p, kind, filled))
+            assert all(len(set(lines)) == 1 for lines in zip_longest(*streams)), (p, limit)
+
+
 @pytest.mark.parametrize("limit", LIMITS)
 @pytest.mark.parametrize("kind", CLASSES)
 def test_one_row_fillings_match_the_fillers(kind, limit, monkeypatch):
-    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
-    rows = _filled_one_row(enumeration._ROWS, kind)
-    text = _filled_one_row(oracles.TEXT, kind)
-    for n in range(1, 9):
-        for p in partitions_of(n):
-            if 1 not in map(p.m, p.part_sizes()):
-                continue
-            streams = (enumeration._partition_stream(n, p, kind, enumeration._ROWS),
-                       enumeration._partition_stream(n, p, kind, rows))
-            assert all(a == b for a, b in zip_longest(*streams)), (p, limit)
-            lines = (class_lines(n, kind, p), oracles.template_stream(n, p, kind, text))
-            assert all(a == b for a, b in zip_longest(*lines)), (p, limit)
+    drain_against_the_oracle(kind, limit, True, monkeypatch)
 
 
 @pytest.mark.parametrize("limit", LIMITS)
 @pytest.mark.parametrize("kind", CLASSES)
 def test_class_lines_match_the_template_oracle(kind, limit, monkeypatch):
-    # Every partition of n <= 8: blocks of several part sizes, first rows and
-    # first columns of one-size matrices, and whatever streams at this limit.
-    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
-    for n in range(1, 9):
-        for p in partitions_of(n):
-            lines = (class_lines(n, kind, p), oracles.template_stream(n, p, kind))
-            assert all(a == b for a, b in zip_longest(*lines)), (p, limit)
+    drain_against_the_oracle(kind, limit, False, monkeypatch)
+
+
+#: The first lines of ``blockpar enum 12 --class bp|bp0 --partition 3+9``
+#: and ``blockpar enum 12 --class bp0``, whose one-row matrices too large to
+#: template split their permutations into prefixes and a block of suffixes.
+#: Digests copied from ``perfbench/expected.json``.
+PREFIXES = {
+    ("bp", "3+9", 100000): "e52c646646609dc4f6e1984abe8eb7c0e3376003c6aa1cfa678315dbed293665",
+    ("bp0", "3+9", 100000): "e52c646646609dc4f6e1984abe8eb7c0e3376003c6aa1cfa678315dbed293665",
+    ("bp0", None, 1000): "a45623de9ec38a8a110c800d1ae51a674265d26cb34ec8d500999b0fd9bfecc2",
+}
+
+
+@pytest.mark.parametrize("kind, parts, limit", PREFIXES)
+def test_prefix_bytes_pinned(capsysbinary, kind, parts, limit):
+    argv = ["enum", "12", "--class", kind, "--limit", str(limit)]
+    if parts is not None:
+        argv += ["--partition", parts]
+    assert main(argv) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert out.count(b"\n") == limit
+    assert hashlib.sha256(out).hexdigest() == PREFIXES[kind, parts, limit]
 
 
 #: Prefixes at two-digit labels: several part sizes, one size with two or
@@ -176,12 +201,12 @@ def test_two_digit_labels_match_the_template_oracle(capsys, kind, n, parts, limi
 
 
 def test_two_digit_first_row_blocks(capsys, monkeypatch):
-    # At the default limit no one-size bp partition of 11 or 12 takes the
-    # block path; under a larger one, (2,2,2,2,2,2) does, 60,480 lines a
-    # choice, and the prefix crosses into the second choice.
+    # At the default limit no one-size bp partition of 11 or 12 takes
+    # first-row blocks; under a larger one, (2,2,2,2,2,2) does, 60,480 lines
+    # a choice, and the prefix crosses into the second choice.
     monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", 1 << 19)
     p = Partition.parse("2+2+2+2+2+2")
-    assert enumeration._partition_blocks(12, p, "bp") is not None
+    assert next(enumeration._text_chunks(12, p, "bp")).count(b"\n") == 60480
     argv = ["enum", "12", "--class", "bp", "--partition", "2+2+2+2+2+2", "--limit", "70000"]
     assert main(argv) == EXIT_OK
     expected = list(islice(oracles.template_stream(12, p, "bp"), 70000))
@@ -192,10 +217,10 @@ def test_two_digit_first_row_blocks(capsys, monkeypatch):
 @pytest.mark.parametrize("n", [100, 101])
 def test_placeholder_alphabet_edge(kind, n):
     # 100 automata take two placeholder bytes each; 101 would take three,
-    # more than the 242 bytes schedule text never holds, so that partition
-    # streams.
+    # more than the 242 bytes schedule text never holds, so that text is
+    # the rows of enum_class, formatted.
     p = Partition.from_parts((1,) * (n - 2) + (2,))
-    assert (enumeration._partition_blocks(n, p, kind) is None) == (n == 101)
+    assert (enumeration._placeholders(n) is None) == (n == 101)
     lines = islice(class_lines(n, kind, p), 300)
     assert list(lines) == list(islice(oracles.template_stream(n, p, kind), 300))
 

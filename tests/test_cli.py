@@ -376,9 +376,11 @@ class TestChunkedWrites:
 
     @pytest.mark.parametrize("limit", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
     def test_limit_at_chunk_edges(self, monkeypatch, capsys, limit):
+        # Past 100 automata the text comes one chunk per line, so the writes
+        # fall on the chunk edges; smaller n comes a block at a time.
         stdout = counting_stdout(monkeypatch)
-        assert main(["enum", "7", "--class", "bp", "--limit", str(limit)]) == EXIT_OK
-        assert stdout.getvalue().splitlines() == list(islice(class_lines(7, "bp"), limit))
+        assert main(["enum", "101", "--class", "bp", "--limit", str(limit)]) == EXIT_OK
+        assert stdout.getvalue().splitlines() == list(islice(class_lines(101, "bp"), limit))
         assert stdout.getvalue().endswith("\n")
         assert stdout.writes == chunks(limit)
         assert capsys.readouterr().err == f"count={limit}\n"

@@ -149,12 +149,13 @@ def test_streams_are_lazy():
 
 
 def test_class_count_matches_closed_forms(monkeypatch):
-    # A batch of 7 lines cuts the streamed partitions mid-chunk.
-    monkeypatch.setattr(enumeration, "_COUNT_BATCH", 7)
+    # A limit of 7 cuts most partitions into blocks of a few lines.
     closed = {"bp": count_bp, "bp0": count_bp0, "bpstar": count_bp_star}
-    for n in range(1, 9):
-        for kind in CLASSES:
-            assert class_count(n, kind) == closed[kind](n)
+    for limit in [7, enumeration._MATERIALIZE_LIMIT]:
+        monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
+        for n in range(1, 9):
+            for kind in CLASSES:
+                assert class_count(n, kind) == closed[kind](n), (limit, n, kind)
 
 
 def test_sharded_lines_match_sequential():
