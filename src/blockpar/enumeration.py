@@ -315,8 +315,8 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
         choose[x] = heads
 
     order = range(last, -1, -1)
-    if width and any(k > x for k in inside):
-        # The split matrix precedes some of the block's in line order.
+    if width and any(k > x and counts[k] > 1 for k in inside):
+        # The split matrix precedes a varying block matrix in line order.
         shared = {k: list(pieces[k]) if k in inside else pieces[k] for k in order}
         block = tuple(_group(piece if k == x else shared[k] for k in order)
                       for piece in pieces[x])
@@ -438,10 +438,10 @@ def _text_chunks(n: int, p: Partition, kind: str) -> Iterator[bytes]:
 
     def text(group: tuple) -> bytes:
         """The group's lines with placeholders, kept for the next block."""
-        parts = [[b"],[".join([b",".join(map(slots.__getitem__, row)) for row in piece])
-                  for piece in factor] for factor in group]
-        texts[id(group)] = b"".join([b"[[" + b"],[".join(line) + b"]]\n"
-                                     for line in product(*parts)])
+        seps = chain([b"[["], repeat(b"],["))
+        parts = [[sep + b"],[".join([b",".join(map(slots.__getitem__, row)) for row in piece])
+                  for piece in factor] for sep, factor in zip(seps, group)]
+        texts[id(group)] = b"".join(map(b"".join, product(*parts, [b"]]\n"])))
         return texts[id(group)]
 
     held = [None, b""]
