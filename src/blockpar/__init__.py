@@ -36,8 +36,6 @@ _HOME_OF = {name: module for module, names in {
         "limit_cycles",
         "limit_isomorphic",
         "reachable",
-        "step",
-        "step_trace",
         "subdynamics",
         "transition_graph",
     ),
@@ -49,6 +47,7 @@ _HOME_OF = {name: module for module, names in {
         "ResourceCapError",
         "ScheduleFormatError",
     ),
+    "kernel": ("step", "step_trace"),
     "network": (
         "BooleanNetwork",
         "eval_local",

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from contextlib import closing, contextmanager
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
@@ -212,27 +212,40 @@ def cmd_enum(args) -> dict:
 
 
 def cmd_step(args) -> dict:
-    from . import dynamics
+    from .kernel import step
     from .network import format_config, parse_config
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
-    image = dynamics.step(f, mu, x, cap=args.cap_substeps)
+    image = step(f, mu, x, cap=args.cap_substeps)
     print(format_config(image, f.n))
     return {"image": format_config(image, f.n)}
 
 
 def cmd_trace(args) -> dict:
-    from . import dynamics
+    """Write the trace as the kernel runs, ``WRITE_CHUNK`` lines a ``write``,
+    then the settled configuration's line once for each substep left."""
+    from .kernel import trajectory
     from .network import format_config, parse_config
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
-    trace = dynamics.step_trace(f, mu, x, cap=args.cap_substeps)
-    _write_chunks(sys.stdout, (format_config(c, f.n) for c in trace), "\n")
-    return {"substeps": len(trace) - 1, "image": format_config(trace[-1], f.n)}
+    rest, length = trajectory(f, mu, x, cap=args.cap_substeps)
+    configs = chain([x], rest)
+    spec = repeat(f"0{f.n}b")
+    written = 0
+    while chunk := list(islice(configs, WRITE_CHUNK)):
+        # Reversing the joined text puts automaton 0 first in every line and
+        # the lines back in order.
+        sys.stdout.write("\n".join(map(format, reversed(chunk), spec))[::-1] + "\n")
+        written += len(chunk)
+        x = chunk[-1]
+    line = format_config(x, f.n) + "\n"
+    for left in range(length - written, 0, -WRITE_CHUNK):
+        sys.stdout.write(line * min(left, WRITE_CHUNK))
+    return {"substeps": length - 1, "image": format_config(x, f.n)}
 
 
 def cmd_dynamics(args) -> dict:

@@ -1,19 +1,10 @@
-"""Substep-exact simulation, transition-graph analysis, and desk-scale deciders.
+"""Transition-graph analysis and desk-scale deciders, over the substep kernel.
 
 One *step* of a network under a block-parallel schedule is the composition of
-one block update per substep; an automaton in a short o-block is updated many
-times per step.  The scalar kernel, ``_trajectory``, runs the substeps of
-:meth:`PartitionedOrder.substeps` from one configuration; ``step`` and
-``step_trace`` read it one configuration at a time, and it is the oracle
-for the whole-space evaluator.  The kernel stops once the configuration has
-stood still for ``L`` substeps in a row, ``L`` the length of the longest
-o-block.  That is exact: an o-block of length ``j <= L`` updates each of its
-members once in any ``j`` consecutive substeps, so in those ``L`` substeps
-every local agreed with the configuration, and every substep left is the
-identity.  ``step_trace`` repeats the settled configuration to its full
-length.  The paper shows that computing one image is PSPACE-complete, so
-no shortcut holds in general; this one only skips substeps that cannot
-change anything.  The whole-space evaluator, ``_images``, is
+one block update per substep.  The scalar kernel, which runs one
+configuration through one step, is :mod:`blockpar.kernel`; ``step`` and
+``step_trace`` are imported from it, so a command that only simulates never
+compiles this module.  The whole-space evaluator, ``_images``, is
 bit-sliced: it holds all ``2**n`` configurations as ``n`` bit-planes (one
 Python int per automaton, one bit per configuration), runs each substep once
 over every plane, and transposes the planes back into one image per
@@ -47,12 +38,13 @@ from __future__ import annotations
 
 import struct
 import sys
-from collections import deque
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, lshift, or_
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CrossCheckError, Record, ResourceCapError
+# ``step`` and ``step_trace`` live in the kernel; they are public here too.
+from .kernel import _check_configs, _Kernel, step, step_trace  # noqa: F401
 from .network import (
     BooleanNetwork,
     Const,
@@ -84,61 +76,10 @@ def _check_call(f: BooleanNetwork, mu: PartitionedOrder, cap: Optional[int],
     act on the same automata; each of ``configs`` is a configuration of
     them; a whole-space call, which names its operation ``what``, fits
     ``DEFAULT_GRAPH_N_CAP``; one step fits ``cap`` substeps."""
-    if f.n != mu.n:
-        raise ValueError(f"network has {f.n} automata but schedule has {mu.n}")
-    for x in configs:
-        if not 0 <= x < (1 << f.n):
-            raise ValueError(f"configuration {x} out of range for n={f.n}")
+    _check_configs(f, mu, *configs)
     if what is not None and f.n > DEFAULT_GRAPH_N_CAP:
         raise ResourceCapError(f"{what} exceeds n_cap={DEFAULT_GRAPH_N_CAP}")
     check_substeps(mu, cap)
-
-
-def _trajectory(compiled, mu: PartitionedOrder, x: int) -> Iterator[int]:
-    """The substep kernel: the configuration after each substep of one step
-    from ``x``, until it has stood still for one longest o-block (after which
-    every substep is the identity; see the module docstring)."""
-    window = max(map(len, mu.oblocks))
-    quiet = 0
-    for block in mu.substeps():
-        nxt = x
-        for i in block:
-            if compiled[i](x):
-                nxt |= 1 << i
-            else:
-                nxt &= ~(1 << i)
-        quiet = quiet + 1 if nxt == x else 0
-        x = nxt
-        yield x
-        if quiet == window:
-            return
-
-
-def _image(compiled, mu: PartitionedOrder, x: int) -> int:
-    # A deque of length one keeps only the last configuration: a step that
-    # never settles may run hundreds of thousands of substeps.
-    return deque(_trajectory(compiled, mu, x), maxlen=1)[0]
-
-
-def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-         cap: Optional[int] = DEFAULT_BLOCK_CAP) -> int:
-    """Image of ``x`` after one full step: all substep block updates in order."""
-    _check_call(f, mu, cap, x)
-    return _image(f.compiled(), mu, x)
-
-
-def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
-               cap: Optional[int] = DEFAULT_BLOCK_CAP) -> list[int]:
-    """``x`` followed by the configuration after each substep (length lcm+1).
-
-    Once the kernel stops, the settled configuration fills the rest."""
-    _check_call(f, mu, cap, x)
-    length = mu.lcm() + 1
-    if length > sys.maxsize:
-        raise ResourceCapError(f"a trace of {length} configurations does not fit in a list")
-    trace = [x, *_trajectory(f.compiled(), mu, x)]
-    trace.extend(repeat(trace[-1], length - len(trace)))
-    return trace
 
 
 def _cube_planes(n: int, base: int, width: int) -> tuple[list[int], int]:
@@ -178,10 +119,11 @@ def _transpose(planes: list[int], lanes: int) -> list[int]:
     return memoryview(table).cast(code).tolist()
 
 
-def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str,
-            cap: Optional[int], *configs: int) -> Iterator[int]:
-    """The whole-space evaluator: the one-step image of every configuration,
-    in order.  The caps are checked at the call; the images come lazily.
+def _image_cubes(f: BooleanNetwork, mu: PartitionedOrder, what: str,
+                 cap: Optional[int], *configs: int) -> Iterator[list[int]]:
+    """The whole-space evaluator: the one-step images of every configuration,
+    in order, one list per sub-cube.  The caps are checked at the call; the
+    sub-cubes come lazily.
 
     Bit-sliced: a sub-cube of configurations is held as ``n`` bit-planes, one
     lane per configuration, and each substep evaluates every updated local
@@ -195,7 +137,13 @@ def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str,
     return _sub_cube_images(f, mu)
 
 
-def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[int]:
+def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str,
+            cap: Optional[int], *configs: int) -> Iterator[int]:
+    """The images of ``_image_cubes``, one configuration at a time."""
+    return chain.from_iterable(_image_cubes(f, mu, what, cap, *configs))
+
+
+def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[list[int]]:
     sliced = f.sliced()
     first = min(f.n, _FIRST_CUBE_WIDTH)
     for base, width in [(0, first), *((1 << k, k) for k in range(first, f.n))]:
@@ -205,7 +153,7 @@ def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[int]:
             for i in block:
                 nxt[i] = sliced[i](planes, mask)
             planes = nxt
-        yield from _transpose(planes, 1 << width)
+        yield _transpose(planes, 1 << width)
 
 
 def _decompose(successors: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -345,7 +293,7 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
     """Does the orbit of ``x`` reach ``y``?  At most ``DEFAULT_REACH_STEP_CAP``
     steps."""
     _check_call(f, mu, cap, x, y)
-    compiled = f.compiled()
+    kernel = _Kernel(f, mu)
     step_cap = DEFAULT_REACH_STEP_CAP
     seen: set[int] = set()
     cur = x
@@ -359,7 +307,7 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
                 f"orbit search exceeds the step cap of {step_cap}"
             )
         seen.add(cur)
-        cur = _image(compiled, mu, cur)
+        cur = kernel.image(cur)
 
 
 def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
@@ -474,12 +422,18 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     """Is one full step a bijection on configuration space?
 
     Decided twice: (a) the image of the step over all configurations has full
-    cardinality; (b) every distinct substep block is itself a bijective
-    update.  The two answers must agree; a composition of block updates is
-    bijective exactly when every factor is.
+    cardinality, tested after each sub-cube, so the scan stops at the first
+    sub-cube that repeats an image; (b) every distinct substep block is
+    itself a bijective update.  The two answers must agree; a composition of
+    block updates is bijective exactly when every factor is.
     """
-    images = _images(f, mu, f"bijectivity check over 2**{f.n}", cap)
-    whole_step = len(set(images)) == 1 << f.n
+    seen: set[int] = set()
+    for cube in _image_cubes(f, mu, f"bijectivity check over 2**{f.n}", cap):
+        size = len(seen) + len(cube)
+        seen.update(cube)
+        if len(seen) < size:
+            break
+    whole_step = len(seen) == 1 << f.n
     # Substeps list one entry per o-block in o-block order: equal sets are equal tuples.
     per_block = _blocks_bijective(f, set(mu.substeps()))
     if whole_step != per_block:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import blockpar
-from blockpar import cli, counting, dynamics, enumeration
+from blockpar import cli, counting, dynamics, enumeration, kernel
 from blockpar.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE_CAP, main
 from blockpar.errors import ResourceCapError
 from blockpar.partitions import Partition, gadget_primes
@@ -155,7 +155,7 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(dynamics, "step", broken)
+    monkeypatch.setattr(kernel, "step", broken)
     network = tmp_path / "swap.bn"
     network.write_text("x0 = x1\nx1 = x0\n")
     report = tmp_path / "report.json"

@@ -20,10 +20,11 @@ PUBLIC = {
     "dynamics": "DynamicsGraph GadgetBundle counter_gadget distinguishing_network"
                 " fixed_points has_preimage is_bijective is_constant is_fixed_point"
                 " is_identity limit_cycle_exists limit_cycles limit_isomorphic reachable"
-                " step step_trace subdynamics transition_graph",
+                " subdynamics transition_graph",
     "enumeration": "class_count enum_bp enum_bp0 enum_bp_star",
     "errors": "BlockparError CrossCheckError NetworkSyntaxError ResourceCapError"
               " ScheduleFormatError",
+    "kernel": "step step_trace",
     "network": "BooleanNetwork eval_local format_config identity_network parse_config"
                " parse_network random_network serialize_network update_block",
     "partitions": "Partition PrimeGadgetBasis gadget_primes lcm_of partitions_of",
@@ -85,6 +86,22 @@ def test_check_loads_no_enumeration_counting_or_pool(tmp_path):
     network.write_text("x0 = x0\nx1 = x1\n")
     argv = ["check", "identity", "--network", str(network), "--schedule", "[[0],[1]]"]
     assert _loaded(argv, HEAVY + ("blockpar.dynamics",)) == "0 [] ['blockpar.dynamics']"
+
+
+@pytest.mark.parametrize("command", ["step", "trace"])
+def test_step_and_trace_load_the_kernel_not_dynamics(tmp_path, command):
+    network = tmp_path / "swap.bn"
+    network.write_text("x0 = x1\nx1 = !x0\n")
+    argv = [command, "--network", str(network), "--schedule", "[[0,1]]", "--config", "01"]
+    watch = HEAVY + ("blockpar.dynamics", "blockpar.kernel")
+    assert _loaded(argv, watch) == "0 [] ['blockpar.kernel']"
+
+
+def test_dynamics_reexports_the_kernel():
+    from blockpar import dynamics, kernel
+
+    assert dynamics.step is kernel.step
+    assert dynamics.step_trace is kernel.step_trace
 
 
 def test_counting_loads_fractions_only_for_the_egf_route():

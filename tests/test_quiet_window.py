@@ -1,8 +1,8 @@
 """The substep kernel's early exit: the window it needs, the work it saves,
 and command output pinned before it existed.
 
-``_trajectory`` stops once the configuration has stood still for one longest
-o-block; ``step_trace`` repeats the settled configuration to its full length.
+The kernel's trajectory stops once the configuration has stood still for one
+longest o-block; ``step_trace`` repeats the settled configuration to its full length.
 ``test_substep_rule`` checks the single-configuration calls against the
 oracles, which never stop early.  The pinned outputs come from the
 benchmark's ``orbit`` inputs for seeds 0 and 1 (the trace networks are in
