@@ -2,12 +2,12 @@
 
 One *step* of a network under a block-parallel schedule is the composition of
 one block update per substep; an automaton in a short o-block is updated many
-times per step.  The kernel runs the substeps of
-:meth:`PartitionedOrder.substeps` from one configuration; ``step`` and
-``step_trace`` read it, and it is the oracle for the whole-space evaluator of
-:mod:`blockpar.dynamics`.  The paper shows that computing one image is
-PSPACE-complete, so no shortcut holds in general; the two below only skip
-work whose result is already known.
+times per step.  The kernel walks the substeps of
+:meth:`PartitionedOrder.substeps`, by the same rule over its own slots,
+from one configuration; ``step`` and ``step_trace`` read it, and it is the
+oracle for the whole-space evaluator of :mod:`blockpar.dynamics`.  The paper
+shows that computing one image is PSPACE-complete, so no shortcut holds in
+general; the two below only skip work whose result is already known.
 
 - **The quiet window.**  The kernel stops once the configuration has stood
   still for ``L`` substeps in a row, ``L`` the length of the longest
@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from itertools import compress, cycle, repeat
+from itertools import repeat
 from typing import Iterator, Optional
 
 from .errors import ResourceCapError
 from .network import BooleanNetwork
-from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps
+from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, _substeps, check_substeps
 
 #: Most entries the memo tables of one call hold together.
 _MEMO_CAP = 1 << 16
@@ -83,10 +83,8 @@ class _Kernel:
         """The configuration after each substep of one step from ``x``, until
         it has stood still for one longest o-block."""
         window, room, quiet = self.window, self.room, 0
-        # Every selector is true; a range, unlike islice, counts past sys.maxsize.
-        substeps = compress(zip(*map(cycle, self.oblocks)), range(1, self.lcm + 1))
         try:
-            for slots in substeps:
+            for slots in _substeps(self.oblocks, self.lcm):
                 nxt = x
                 for table, local, mask, clear, bit in slots:
                     key = x & mask

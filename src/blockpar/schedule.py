@@ -4,8 +4,9 @@ A block-parallel update schedule is a *partitioned order*: an unordered set
 of ordered o-blocks covering the automata ``0..n-1``.  At substep ``t`` every
 o-block contributes its element at position ``t mod len(o-block)``; one full
 step consists of ``lcm`` of the o-block lengths substeps.  That rule is
-written once, in :meth:`PartitionedOrder.substeps`; ``phi`` spells a schedule
-out as that sequence of update blocks, and the simulator runs it.
+written once, in :func:`_substeps`; :meth:`PartitionedOrder.substeps` walks
+it over automata, ``phi`` spells a schedule out as that sequence of update
+blocks, and the kernel walks it over its per-automaton slots.
 
 Each rule is checked in one place: the :class:`PartitionedOrder` constructor
 checks that the o-blocks cover ``0..n-1`` exactly once (``parse_schedule``
@@ -13,11 +14,20 @@ only decodes the text, checks its shape and infers ``n``), and
 :func:`check_substeps` caps the substeps of one step for ``phi`` and the
 simulator.
 
-Two equivalences matter:
+Two equivalences matter.  Both are decided from each automaton's place
+``(j, p)``, its o-block's length and its position there, without expanding a
+step.  By the rule above the automaton is updated exactly at the substeps
+``t ≡ p (mod j)``, and those times determine ``(j, p)``: ``p`` is the first,
+``j`` the gap to the next (the step length when there is none).
 
-* ``equiv0``: identical block sequences -- identical dynamics for every network.
+* ``equiv0``: identical block sequences -- identical dynamics for every
+  network -- exactly when every automaton has the same place.
 * ``equiv_star``: block sequences equal up to a circular shift -- isomorphic
-  limit dynamics for every network.
+  limit dynamics for every network.  A shift by ``s`` aligns them exactly
+  when every automaton, at ``(j, p)`` and ``(j, p2)``, has ``p ≡ p2 + s (mod j)``.
+  The Chinese remainder theorem combines these congruences, testing them for
+  consistency modulo each ``gcd``; a solution is unique modulo the step
+  length ``lcm``, so it is the smallest shift.
 """
 
 from __future__ import annotations
@@ -42,6 +52,12 @@ CLASSES = (CLASS_BP, CLASS_BP0, CLASS_BP_STAR)
 
 def _oblock_key(block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (len(block), block)
+
+
+def _substeps(rows, length: int) -> Iterator[tuple]:
+    """Each row ``r``'s entry ``r[t mod len(r)]`` at each substep ``t < length``, lazily."""
+    # Every selector is true; a range, unlike islice, counts past sys.maxsize.
+    return compress(zip(*map(cycle, rows)), range(1, length + 1))
 
 
 class PartitionedOrder:
@@ -119,8 +135,7 @@ class PartitionedOrder:
         At substep ``t`` every o-block contributes its element at position
         ``t mod len(o-block)``; the tuple lists them in o-block order.
         """
-        # Every selector is true; a range, unlike islice, counts past sys.maxsize.
-        return compress(zip(*map(cycle, self.oblocks)), range(1, self.lcm() + 1))
+        return _substeps(self.oblocks, self.lcm())
 
     def support(self) -> Partition:
         """The integer partition given by the o-block lengths."""
@@ -128,11 +143,7 @@ class PartitionedOrder:
 
     def first_update_times(self) -> tuple[int, ...]:
         """Substep at which each automaton is first updated (its o-block position)."""
-        times = [0] * self.n
-        for block in self.oblocks:
-            for pos, i in enumerate(block):
-                times[i] = pos
-        return tuple(times)
+        return tuple(pos for _, pos in _places(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartitionedOrder):
@@ -226,44 +237,40 @@ def _require_same_n(mu: PartitionedOrder, mu2: PartitionedOrder) -> None:
         raise ValueError(f"schedules act on different sizes: {mu.n} vs {mu2.n}")
 
 
-def equiv0(mu: PartitionedOrder, mu2: PartitionedOrder,
-           cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
+def _places(mu: PartitionedOrder) -> list[tuple[int, int]]:
+    """``(len(o-block), position)`` of each automaton, in automaton order."""
+    places = [(0, 0)] * mu.n
+    for block in mu.oblocks:
+        for pos, i in enumerate(block):
+            places[i] = (len(block), pos)
+    return places
+
+
+def equiv0(mu: PartitionedOrder, mu2: PartitionedOrder) -> bool:
     """Dynamical equality: do the two schedules have identical block sequences?"""
     _require_same_n(mu, mu2)
-    if mu.lcm() != mu2.lcm():
-        return False
-    return phi(mu, cap=cap).blocks == phi(mu2, cap=cap).blocks
+    return _places(mu) == _places(mu2)
 
 
-def shift_between(blocks: tuple[tuple[int, ...], ...],
-                  blocks2: tuple[tuple[int, ...], ...]) -> Optional[int]:
-    """Smallest ``i`` with ``blocks == sigma^i(blocks2)``, or None.
-
-    ``sigma^i`` moves the element at position 0 towards position ``i``, so
-    ``sigma^i(b)[k] == b[(k - i) % len(b)]``.
-    """
-    length = len(blocks)
-    if length != len(blocks2):
-        return None
-    first = blocks[0]
-    for i in range(length):
-        if blocks2[-i % length] != first:
-            continue
-        if all(blocks[k] == blocks2[(k - i) % length] for k in range(1, length)):
-            return i
-    return None
-
-
-def equiv_star(mu: PartitionedOrder, mu2: PartitionedOrder,
-               cap: Optional[int] = DEFAULT_BLOCK_CAP) -> Optional[int]:
+def equiv_star(mu: PartitionedOrder, mu2: PartitionedOrder) -> Optional[int]:
     """Limit isomorphism: smallest shift aligning the block sequences, or None.
 
     Shift 0 coincides with :func:`equiv0`.
     """
     _require_same_n(mu, mu2)
-    if mu.lcm() != mu2.lcm():
-        return None
-    return shift_between(phi(mu, cap=cap).blocks, phi(mu2, cap=cap).blocks)
+    residues: dict[int, int] = {}
+    for (j, p), (j2, p2) in zip(_places(mu), _places(mu2)):
+        if j != j2 or residues.setdefault(j, (p - p2) % j) != (p - p2) % j:
+            return None
+    shift, modulus = 0, 1
+    for j, residue in residues.items():
+        g = math.gcd(modulus, j)
+        if (residue - shift) % g:
+            return None
+        k = j // g
+        shift += modulus * ((residue - shift) // g * pow(modulus // g, -1, k) % k)
+        modulus *= k
+    return shift
 
 
 def is_bs_intersection(seq: BlockSequence) -> bool:
@@ -308,17 +315,9 @@ def parse_schedule(text: str, n: Optional[int] = None) -> PartitionedOrder:
     return PartitionedOrder(n, data)
 
 
-def format_oblocks(oblocks: Iterable[tuple[int, ...]],
-                   opens: bool = True, closes: bool = True) -> str:
-    """O-blocks in the schedule text format, e.g. ``[[0],[1,2]]``.
-
-    With ``opens`` false the text starts with the separator instead of the
-    outer ``[``; with ``closes`` false it lacks the outer ``]``.  The pieces of
-    consecutive runs of o-blocks, the first opening and the last closing,
-    concatenate into the text of all of them.
-    """
-    body = "],[".join([",".join(map(str, block)) for block in oblocks])
-    return ("[[" if opens else ",[") + body + ("]]" if closes else "]")
+def format_oblocks(oblocks: Iterable[tuple[int, ...]]) -> str:
+    """O-blocks in the schedule text format, e.g. ``[[0],[1,2]]``."""
+    return "[[" + "],[".join([",".join(map(str, block)) for block in oblocks]) + "]]"
 
 
 def serialize_schedule(mu: PartitionedOrder) -> str:

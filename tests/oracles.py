@@ -17,7 +17,6 @@ from typing import Optional
 
 from blockpar import counting, enumeration, phi, update_block
 from blockpar.partitions import Partition, partitions_of
-from blockpar.schedule import format_oblocks
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +119,22 @@ def ordered_set_partitions(n: int):
 def rotation_key(blocks: tuple) -> tuple:
     """Canonical form of a block sequence under circular shifts."""
     return min(blocks[i:] + blocks[:i] for i in range(len(blocks)))
+
+
+def shift_between(blocks: tuple, blocks2: tuple) -> Optional[int]:
+    """Smallest ``i`` with ``blocks == sigma^i(blocks2)``, or None, by trying
+    every rotation of the ``phi`` block sequences.
+
+    ``sigma^i`` moves the element at position 0 towards position ``i``, so
+    ``sigma^i(b)[k] == b[(k - i) % len(b)]``.
+    """
+    length = len(blocks)
+    if length != len(blocks2):
+        return None
+    for i in range(length):
+        if all(blocks[k] == blocks2[(k - i) % length] for k in range(length)):
+            return i
+    return None
 
 
 def step_via_phi(f, mu, x: int) -> int:
@@ -228,7 +243,8 @@ class _Field(int):
 
 
 def _text_piece(rows, opens: bool, closes: bool) -> str:
-    return format_oblocks(sorted(rows), opens, closes)
+    body = "],[".join([",".join(map(str, row)) for row in sorted(rows)])
+    return ("[[" if opens else ",[") + body + ("]]" if closes else "]")
 
 
 def _text_row(labels, budget: int, opens: bool, closes: bool):

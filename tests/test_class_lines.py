@@ -22,7 +22,7 @@ from blockpar.counting import count_bp, count_bp0, count_bp_star
 from blockpar.enumeration import CLASSES, class_lines, enum_class
 from blockpar.partitions import Partition, partitions_of
 from blockpar.schedule import (
-    PartitionedOrder, format_oblocks, parse_schedule, phi, serialize_schedule,
+    PartitionedOrder, parse_schedule, phi, serialize_schedule,
 )
 
 import oracles
@@ -299,19 +299,6 @@ def test_class_lines_share_argument_checks():
         with pytest.raises(ValueError) as schedules_error:
             list(enum_class(*args))
         assert str(lines_error.value) == str(schedules_error.value)
-
-
-def test_format_oblocks_pieces_concatenate():
-    blocks = [(3,), (0, 4), (2, 1, 5)]
-    whole = format_oblocks(blocks)
-    assert whole == oracles.schedule_json(blocks) == "[[3],[0,4],[2,1,5]]"
-    for cut in range(1, len(blocks)):
-        head = format_oblocks(blocks[:cut], opens=True, closes=False)
-        tail = format_oblocks(blocks[cut:], opens=False, closes=True)
-        assert head + tail == whole
-    middle = format_oblocks(blocks[1:2], opens=False, closes=False)
-    assert format_oblocks(blocks[:1], closes=False) + middle + format_oblocks(
-        blocks[2:], opens=False) == whole
 
 
 @lru_cache(maxsize=None)

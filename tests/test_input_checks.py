@@ -17,7 +17,7 @@ from blockpar.enumeration import class_lines, enum_class, sharded_lines
 from blockpar.errors import ResourceCapError, ScheduleFormatError
 from blockpar.network import identity_network, random_network
 from blockpar.partitions import Partition
-from blockpar.schedule import PartitionedOrder, equiv0, equiv_star, parse_schedule, phi
+from blockpar.schedule import PartitionedOrder, parse_schedule, phi
 
 import oracles
 
@@ -91,8 +91,6 @@ def test_every_substep_cap_has_one_message():
     expected = "one step expands to 6 substeps, above the cap of 5"
     calls = [
         lambda: phi(mu, cap=5),
-        lambda: equiv0(mu, mu, cap=5),
-        lambda: equiv_star(mu, mu, cap=5),
         lambda: step(f, mu, 0, cap=5),
         lambda: step_trace(f, mu, 0, cap=5),
         lambda: reachable(f, mu, 0, 1, cap=5),

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from blockpar.dynamics import counter_gadget
 from blockpar.enumeration import enum_bp
 from blockpar.errors import ResourceCapError, ScheduleFormatError
 from blockpar.schedule import (
@@ -12,10 +15,10 @@ from blockpar.schedule import (
     parse_schedule,
     phi,
     serialize_schedule,
-    shift_between,
 )
 
 import oracles
+from test_input_checks import _random_schedule
 
 
 def PO(n, blocks):
@@ -130,10 +133,10 @@ class TestEquivalences:
         assert len(keys) == 2
 
     def test_equivalence_relation_axioms_exhaustively(self):
-        # On BP_n for n <= 4, compare against independent canonical keys:
-        # equiv0 must match plain block equality, equiv_star must match
-        # rotation-minimised equality, which makes both genuine equivalences.
-        for n in range(1, 5):
+        # On BP_n for n <= 5, compare against the phi oracle: equiv0 must
+        # match plain block equality, equiv_star the smallest rotation that
+        # aligns the blocks, which makes both genuine equivalences.
+        for n in range(1, 6):
             mus = list(enum_bp(n))
             blocks = [phi(mu).blocks for mu in mus]
             rot_keys = [oracles.rotation_key(b) for b in blocks]
@@ -142,23 +145,54 @@ class TestEquivalences:
                     expected0 = blocks[i] == blocks[k]
                     assert equiv0(a, b) is expected0
                     shift = equiv_star(a, b)
-                    assert (shift is not None) == (rot_keys[i] == rot_keys[k])
+                    if rot_keys[i] != rot_keys[k]:
+                        assert shift is None
+                    else:
+                        assert shift == oracles.shift_between(blocks[i], blocks[k])
                     if expected0:
                         assert shift == 0
 
+    def test_rotated_random_schedules_match_the_oracle(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randrange(6, 13)
+            mu = _random_schedule(n, rng)
+            s = rng.randrange(mu.lcm())
+            mu2 = PO(n, [_rotate(block, s if rng.random() < 0.75 else rng.randrange(len(block)))
+                         for block in mu.oblocks])
+            blocks, blocks2 = phi(mu, cap=None).blocks, phi(mu2, cap=None).blocks
+            assert equiv0(mu, mu2) is (blocks == blocks2), (mu, mu2)
+            assert equiv_star(mu, mu2) == oracles.shift_between(blocks, blocks2), (mu, mu2)
+
+    def test_counter_gadget_6_rotation(self):
+        # 6,469,693,230 substeps a step: phi cannot spell it out.
+        mu = counter_gadget(6).schedule
+        s = 123457
+        rotated = PO(mu.n, [_rotate(block, s) for block in mu.oblocks])
+        assert equiv_star(mu, rotated) == s
+        assert equiv_star(rotated, mu) == mu.lcm() - s
+        assert not equiv0(mu, rotated)
+        reversed_ = PO(mu.n, [block[::-1] for block in mu.oblocks])
+        assert equiv_star(mu, reversed_) is None
+        assert not equiv0(mu, reversed_)
+
     def test_star_shift_symmetry(self):
         mus = list(enum_bp(4))
-        blocks = [phi(mu).blocks for mu in mus]
-        for i in range(len(mus)):
-            for k in range(i + 1, len(mus)):
-                shift = shift_between(blocks[i], blocks[k])
-                back = shift_between(blocks[k], blocks[i])
+        for i, a in enumerate(mus):
+            for b in mus[i + 1:]:
+                shift, back = equiv_star(a, b), equiv_star(b, a)
                 if shift is None:
                     assert back is None
                 else:
-                    length = len(blocks[i])
                     assert back is not None
-                    assert (shift + back) % length == 0
+                    assert (shift + back) % a.lcm() == 0
+
+
+def _rotate(block, s):
+    """``block`` moved ``s`` places towards its front: the element at
+    position ``p`` lands at ``p - s``."""
+    s %= len(block)
+    return block[s:] + block[:s]
 
 
 class TestBsIntersection:
@@ -218,13 +252,18 @@ class TestText:
         assert serialize_schedule(parse_schedule("[[1,2],[0]]")) == "[[0],[1,2]]"
 
 
-def test_equiv_star_resource_cap():
-    # Nine distinct prime lengths: lcm 223092870, far above the default cap.
+def test_equivalences_answer_past_the_substep_cap():
+    # Nine distinct prime lengths: lcm 223092870, far above the default cap,
+    # which the equivalences neither take nor need.
     sizes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     oblocks, start = [], 0
     for size in sizes:
         oblocks.append(tuple(range(start, start + size)))
         start += size
     mu = PO(start, oblocks)
-    with pytest.raises(ResourceCapError):
-        equiv_star(mu, mu)
+    assert equiv_star(mu, mu) == 0
+    assert equiv0(mu, mu)
+    with pytest.raises(TypeError):
+        equiv0(mu, mu, cap=5)
+    with pytest.raises(TypeError):
+        equiv_star(mu, mu, cap=None)

@@ -1,7 +1,7 @@
 """The substep rule, checked against ``oracles.substep_blocks``.
 
-``phi``, the simulator and the whole-space deciders all run the one rule in
-``PartitionedOrder.substeps``; the oracle spells it out independently, and
+``phi``, the simulator and the whole-space deciders all run the one rule of
+``schedule._substeps``, over automata or the kernel's slots; the oracle spells it out independently, and
 the oracle trajectory applies ``update_block`` block by block.  The oracle
 runs every substep, while the simulator stops once the configuration has
 settled, so the single-configuration calls are checked here too.
