@@ -23,8 +23,6 @@ _HOME_OF = {name: module for module, names in {
     ),
     "dynamics": (
         "DynamicsGraph",
-        "GadgetBundle",
-        "counter_gadget",
         "distinguishing_network",
         "fixed_points",
         "has_preimage",
@@ -47,6 +45,7 @@ _HOME_OF = {name: module for module, names in {
         "ResourceCapError",
         "ScheduleFormatError",
     ),
+    "gadget": ("GadgetBundle", "PrimeGadgetBasis", "counter_gadget", "gadget_primes"),
     "kernel": ("step", "step_trace"),
     "network": (
         "BooleanNetwork",
@@ -59,7 +58,7 @@ _HOME_OF = {name: module for module, names in {
         "serialize_network",
         "update_block",
     ),
-    "partitions": ("Partition", "PrimeGadgetBasis", "gadget_primes", "lcm_of", "partitions_of"),
+    "partitions": ("Partition", "lcm_of", "partitions_of"),
     "schedule": (
         "BlockSequence",
         "MatrixRepresentation",

@@ -3,9 +3,9 @@ analysis, gadget generation, and a benchmark harness.
 
 Decision answers are printed as ``true``/``false`` on stdout; exit codes only
 distinguish *how* a command ended: 0 completed (also when the reader closes
-stdout early), 2 usage error, 3 missing file, 4 malformed input, 5 resource
-cap exceeded, 6 internal error (a failed cross-check or any other unexpected
-exception: always a bug).
+stdout early), 2 usage error, 3 missing input file, 4 malformed input or an
+output file that cannot be written, 5 resource cap exceeded, 6 internal error
+(a failed cross-check or any other unexpected exception: always a bug).
 
 Each command imports the modules it runs on, so a command loads no module
 it does not use: ``enum`` and ``count`` never load the network code, and
@@ -101,13 +101,21 @@ def _load_schedule(source: str, n: Optional[int] = None) -> PartitionedOrder:
     return parse_schedule(text, n=n)
 
 
+def _open_output(path: str, binary: bool = False):
+    """``path`` opened for writing.  A path that cannot be opened is bad
+    input, also in a missing directory: only a missing input exits 3."""
+    try:
+        return open(path, "wb" if binary else "w", encoding=None if binary else "utf-8")
+    except FileNotFoundError as exc:
+        raise BlockparError(str(exc)) from exc
+
+
 @contextmanager
 def _out_stream(args, binary: bool = False) -> Iterator:
     """The command's output: the ``--out`` file, closed afterwards, or stdout;
     with ``binary``, their bytes layers."""
     if getattr(args, "out", None):
-        with open(args.out, "wb" if binary else "w",
-                  encoding=None if binary else "utf-8") as handle:
+        with _open_output(args.out, binary) as handle:
             yield handle
     elif binary:
         sys.stdout.flush()
@@ -336,13 +344,11 @@ def cmd_check(args) -> dict:
 
 
 def cmd_gadget(args) -> dict:
-    from . import dynamics
+    from .gadget import counter_gadget
     from .network import serialize_network
     from .schedule import serialize_schedule
 
-    if args.kind != "counter":
-        raise ScheduleFormatError(f"unknown gadget kind {args.kind!r}")
-    bundle = dynamics.counter_gadget(args.n)
+    bundle = counter_gadget(args.n)
     network_text = serialize_network(bundle.network)
     schedule_text = serialize_schedule(bundle.schedule)
     summary = {
@@ -355,9 +361,9 @@ def cmd_gadget(args) -> dict:
     if args.out_prefix:
         network_path = args.out_prefix + ".bn"
         schedule_path = args.out_prefix + ".schedule"
-        with open(network_path, "w", encoding="utf-8") as handle:
+        with _open_output(network_path) as handle:
             handle.write(network_text)
-        with open(schedule_path, "w", encoding="utf-8") as handle:
+        with _open_output(schedule_path) as handle:
             handle.write(schedule_text + "\n")
         print(network_path)
         print(schedule_path)

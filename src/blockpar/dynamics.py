@@ -25,11 +25,10 @@ here is exact and exhaustive, guarded by explicit resource caps.  The
 ``cap`` keyword bounds the substeps one step may expand to (``None`` for no
 cap).  Module constants, read at each call, bound the rest:
 ``DEFAULT_GRAPH_N_CAP`` the automata of a whole-space operation,
-``DEFAULT_NODE_CAP`` the vertices of a ``subdynamics`` pattern,
-``DEFAULT_REACH_STEP_CAP`` the orbit ``reachable`` follows and
-``GADGET_AUTOMATA_CAP`` the automata of a gadget.  Every entry point checks
-its inputs once, through ``_check_call``: the sizes match, then each
-configuration is in range, then the graph cap, then the substep cap
+``DEFAULT_NODE_CAP`` the vertices of a ``subdynamics`` pattern and
+``DEFAULT_REACH_STEP_CAP`` the orbit ``reachable`` follows.  Every entry
+point checks its inputs once, through ``_check_call``: the sizes match, then
+each configuration is in range, then the graph cap, then the substep cap
 (:func:`~blockpar.schedule.check_substeps`).  Exceeding a cap raises
 :class:`ResourceCapError` rather than truncating.
 """
@@ -42,19 +41,10 @@ from itertools import chain, repeat
 from operator import and_, lshift, or_
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import CrossCheckError, Record, ResourceCapError
+from .errors import CrossCheckError, ResourceCapError
 # ``step`` and ``step_trace`` live in the kernel; they are public here too.
 from .kernel import _check_configs, _Kernel, step, step_trace  # noqa: F401
-from .network import (
-    BooleanNetwork,
-    Const,
-    Or,
-    Var,
-    Xor,
-    and_chain,
-    format_config,
-)
-from .partitions import gadget_primes, prime_count_for, sieve_primes_below
+from .network import BooleanNetwork, Or, Var, format_config
 from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
 
 #: Most automata a whole-space operation runs on (``n_cap`` in its message).
@@ -63,8 +53,6 @@ DEFAULT_GRAPH_N_CAP = 20
 DEFAULT_NODE_CAP = 12
 #: Steps ``reachable`` may take: enough for any orbit within ``n_cap`` automata.
 DEFAULT_REACH_STEP_CAP = 1 << DEFAULT_GRAPH_N_CAP
-#: Most automata ``counter_gadget`` builds: ``n = 68`` has 1,001,672.
-GADGET_AUTOMATA_CAP = 1 << 20
 #: ``_images`` evaluates the first ``2**_FIRST_CUBE_WIDTH`` configurations
 #: alone, then sub-cubes that double in size.
 _FIRST_CUBE_WIDTH = 8
@@ -570,90 +558,6 @@ def distinguishing_network(mu: PartitionedOrder, mu2: PartitionedOrder
                 witness = 1 << j
                 return BooleanNetwork(locals_), witness, i
     return None
-
-
-# ---------------------------------------------------------------------------
-# Gadget builders
-
-class GadgetBundle(Record):
-    """A network/schedule pair with named automaton ranges, and the
-    :class:`~blockpar.partitions.PrimeGadgetBasis` it was built from.
-
-    The ``padding`` and ``counter`` ranges split the automata.  ``padding``
-    automata sit in o-blocks of prime lengths and force the substep count up
-    to the product of those primes; ``counter`` automata sit in singleton
-    o-blocks and are updated at every substep.
-    """
-
-    __slots__ = _fields = ("network", "schedule", "padding", "counter", "basis")
-
-    @property
-    def n_automata(self) -> int:
-        return self.network.n
-
-
-def _gadget_fits(n: int) -> bool:
-    """Does ``counter_gadget(n)`` have at most ``GADGET_AUTOMATA_CAP`` automata?
-
-    It has ``n`` counter automata and one padding automaton per unit of each
-    of the ``prime_count_for(n)`` smallest primes below ``n*n``.  They are
-    sieved below a doubling limit, so a gadget past the cap is refused once
-    the primes found exceed it, without sieving ``n*n`` bytes.
-    """
-    cap = GADGET_AUTOMATA_CAP
-    if n > cap:  # also keeps n*n within prime_count_for's float division
-        return False
-    k, limit = prime_count_for(n), 1
-    while True:
-        limit = min(2 * limit, n * n)
-        primes = sieve_primes_below(limit)[:k]
-        if n + sum(primes) > cap:
-            return False
-        if len(primes) == k or limit == n * n:
-            return True
-
-
-def counter_gadget(n: int) -> GadgetBundle:
-    """Saturating binary counter driven by prime-length padding o-blocks.
-
-    The padding automata are constant 0; the last ``n`` automata increment a
-    little-endian counter (automaton ``q`` holds the least significant bit)
-    once per substep until it sticks at all-ones.  One full step has more than
-    ``2**n`` substeps, so the whole dynamics is the constant map onto
-    ``0^q 1^n``.
-    """
-    if n < 2:
-        raise ValueError(f"counter gadget needs n >= 2, got {n}")
-    if not _gadget_fits(n):
-        raise ResourceCapError(
-            f"counter gadget for n={n} has more than {GADGET_AUTOMATA_CAP} automata"
-        )
-    basis = gadget_primes(n)
-    q = basis.total
-    counter_vars = [Var(q + i) for i in range(n)]
-    all_ones = and_chain(counter_vars)
-    locals_: list = [Const(0)] * q
-    for i in range(n):
-        carry = and_chain(counter_vars[:i])
-        locals_.append(Or(all_ones, Xor(Var(q + i), carry)))
-    oblocks = [
-        tuple(range(basis.cumulative[i], basis.cumulative[i + 1]))
-        for i in range(basis.k)
-    ]
-    oblocks.extend((q + i,) for i in range(n))
-    return GadgetBundle(
-        network=BooleanNetwork(locals_),
-        schedule=PartitionedOrder(q + n, oblocks),
-        padding=range(0, q),
-        counter=range(q, q + n),
-        basis=basis,
-    )
-
-
-def counter_value(bundle: GadgetBundle, x: int) -> int:
-    """Read the counter embedded in a gadget configuration."""
-    width = len(bundle.counter)
-    return (x >> bundle.counter.start) & ((1 << width) - 1)
 
 
 # ---------------------------------------------------------------------------

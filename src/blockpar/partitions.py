@@ -1,8 +1,7 @@
-"""Integer partitions (schedule supports) and prime bases for gadget schedules.
+"""Integer partitions: the supports of block-parallel schedules.
 
 A partition of ``n`` describes the multiset of o-block lengths of a
-block-parallel schedule on ``n`` automata.  The prime bases are used to
-build schedules whose substep count is the product of distinct primes.
+block-parallel schedule on ``n`` automata.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from .errors import CrossCheckError, Record
+from .errors import Record
 
 
 class Partition(Record):
@@ -102,79 +101,3 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
     for parts in rec(n, n):
         yield Partition(n, parts)
-
-
-class PrimeGadgetBasis(Record):
-    """Distinct primes below ``n**2`` whose product exceeds ``2**n``.
-
-    ``cumulative`` holds the running sums q_0 = 0, q_j = p_1 + ... + p_j;
-    the gadget builders use q_j as o-block boundaries.
-    """
-
-    __slots__ = _fields = ("n", "primes", "cumulative")
-
-    def __init__(self, n: int, primes: tuple[int, ...], cumulative: tuple[int, ...]):
-        if list(primes) != sorted(set(primes)):
-            raise ValueError("primes must be strictly increasing")
-        expected = [0]
-        for p in primes:
-            expected.append(expected[-1] + p)
-        if tuple(expected) != cumulative:
-            raise ValueError("cumulative sums do not match the prime list")
-        super().__init__(n, primes, cumulative)
-
-    @property
-    def k(self) -> int:
-        """Number of primes."""
-        return len(self.primes)
-
-    @property
-    def total(self) -> int:
-        """Sum of all primes (number of padding automata in a gadget)."""
-        return self.cumulative[-1]
-
-    def product(self) -> int:
-        return math.prod(self.primes)
-
-
-def sieve_primes_below(limit: int) -> list[int]:
-    """All primes strictly below ``limit`` (sieve of Eratosthenes)."""
-    if limit <= 2:
-        return []
-    composite = bytearray(limit)
-    primes = []
-    for p in range(2, limit):
-        if composite[p]:
-            continue
-        primes.append(p)
-        for q in range(p * p, limit, p):
-            composite[q] = 1
-    return primes
-
-
-def prime_count_for(n: int) -> int:
-    """How many of the smallest primes below ``n**2`` to take: floor(n^2 / (2 ln n))."""
-    return int(n * n / (2.0 * math.log(n)))
-
-
-def gadget_primes(n: int) -> PrimeGadgetBasis:
-    """Prime basis for building schedules with more than ``2**n`` substeps.
-
-    Takes the ``prime_count_for(n)`` smallest primes below ``n**2``; their
-    product then lies strictly between ``2**n`` and ``2**(2*n**2)``, and every
-    prime is below ``n**2``.  Deterministic for each ``n``.
-    """
-    if n < 2:
-        raise ValueError(f"prime basis needs n >= 2, got {n}")
-    available = sieve_primes_below(n * n)
-    k = min(prime_count_for(n), len(available))
-    chosen = tuple(available[:k])
-    product = math.prod(chosen)
-    if product <= 2**n:  # pragma: no cover - ruled out for all n >= 2
-        raise CrossCheckError(
-            f"prime product {product} for n={n} does not exceed 2**{n} (primes {chosen})"
-        )
-    cumulative = [0]
-    for p in chosen:
-        cumulative.append(cumulative[-1] + p)
-    return PrimeGadgetBasis(n, chosen, tuple(cumulative))

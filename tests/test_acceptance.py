@@ -22,8 +22,6 @@ from blockpar.counting import (
     count_bp_star,
 )
 from blockpar.dynamics import (
-    counter_gadget,
-    counter_value,
     distinguishing_network,
     is_bijective,
     step,
@@ -31,6 +29,7 @@ from blockpar.dynamics import (
     transition_graph,
 )
 from blockpar.enumeration import enum_bp, enum_bp0, enum_bp_star
+from blockpar.gadget import counter_gadget, counter_value
 from blockpar.network import format_config, parse_config, parse_network, random_network
 from blockpar.partitions import partitions_of
 from blockpar.schedule import parse_schedule, phi

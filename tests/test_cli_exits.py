@@ -75,6 +75,13 @@ def test_negative_limit_is_usage_error(capsys):
     assert "--limit" in capsys.readouterr().err
 
 
+def test_unknown_gadget_kind_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gadget", "foo", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
 def test_cross_check_failure_is_internal_error(capsys, monkeypatch, tmp_path):
     def disagree(*args, **kwargs):
         raise CrossCheckError("bijectivity methods disagree")

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import blockpar
-from blockpar import cli, counting, dynamics, enumeration, kernel
+from blockpar import cli, counting, enumeration, gadget, kernel
 from blockpar.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE_CAP, main
 from blockpar.errors import ResourceCapError
-from blockpar.partitions import Partition, gadget_primes
+from blockpar.gadget import counter_gadget, gadget_primes, prime_count_for, sieve_primes_below
+from blockpar.partitions import Partition
 
 SRC = str(Path(blockpar.__file__).resolve().parent.parent)
 ENV = {**os.environ,
@@ -79,19 +80,31 @@ def test_one_row_stream_yields_its_first_schedule(kind):
     assert next(enumeration.enum_class(3000, kind, partition)).oblocks == (first,)
 
 
-@pytest.mark.parametrize("cap", [3, 10, 100, 5000, dynamics.GADGET_AUTOMATA_CAP])
+@pytest.mark.parametrize("cap", [3, 10, 100, 5000, gadget.GADGET_AUTOMATA_CAP])
 def test_gadget_cap_is_exact(cap, monkeypatch):
-    monkeypatch.setattr(dynamics, "GADGET_AUTOMATA_CAP", cap)
+    monkeypatch.setattr(gadget, "GADGET_AUTOMATA_CAP", cap)
     for n in range(2, 80):
-        assert dynamics._gadget_fits(n) == (n + gadget_primes(n).total <= cap), n
+        primes = tuple(sieve_primes_below(n * n)[:prime_count_for(n)])
+        if n + sum(primes) > cap:
+            for build in (gadget_primes, counter_gadget):
+                with pytest.raises(ResourceCapError,
+                                   match=f"^counter gadget for n={n} has more than {cap} "):
+                    build(n)
+            continue
+        assert gadget_primes(n).primes == primes, n
+        # Only small gadgets are built: every one up to n = 68 takes about 20 s.
+        if n + sum(primes) <= 5000:
+            assert counter_gadget(n).basis.primes == primes, n
 
 
-@pytest.mark.parametrize("n", [200, 10**6])
-def test_oversized_gadget_is_refused_cheaply(n):
+@pytest.mark.parametrize("build, n", [
+    (counter_gadget, 200), (counter_gadget, 10**6), (gadget_primes, 2000),
+], ids=["200", "1000000", "gadget_primes-2000"])
+def test_oversized_gadget_is_refused_cheaply(build, n):
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError) as error:
-            dynamics.counter_gadget(n)
+            build(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,6 +189,20 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys
 def test_unwritable_output_is_bad_input(argv, message, capsys):
     assert main(argv) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize("argv, opened", [
+    (["enum", "3", "--out", "{missing}/x"], "{missing}/x"),
+    (["gadget", "counter", "3", "--out-prefix", "{missing}/g"], "{missing}/g.bn"),
+], ids=["enum-out", "gadget-out-prefix"])
+def test_output_in_a_missing_directory_is_bad_input(argv, opened, tmp_path, capsys):
+    # Exit 3 is for a missing input; an output that cannot be opened is exit 4.
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in argv]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [Errno 2] No such file or directory:"
+                            f" '{opened.format(missing=missing)}'\n")
 
 
 PROBE = """

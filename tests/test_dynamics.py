@@ -3,8 +3,6 @@ import random
 import pytest
 
 from blockpar.dynamics import (
-    counter_gadget,
-    counter_value,
     distinguishing_network,
     fixed_points,
     graph_json,
@@ -24,6 +22,7 @@ from blockpar.dynamics import (
     transition_graph,
 )
 from blockpar.errors import ResourceCapError
+from blockpar.gadget import counter_gadget, counter_value
 from blockpar.network import (
     BooleanNetwork,
     Const,

@@ -17,17 +17,17 @@ HEAVY = ("blockpar.enumeration", "blockpar.counting", "multiprocessing", "statis
 PUBLIC = {
     "counting": "count_bp count_bp0 count_bp0_via_egf count_bp_star count_bs"
                 " count_bs_inter_bp",
-    "dynamics": "DynamicsGraph GadgetBundle counter_gadget distinguishing_network"
-                " fixed_points has_preimage is_bijective is_constant is_fixed_point"
-                " is_identity limit_cycle_exists limit_cycles limit_isomorphic reachable"
-                " subdynamics transition_graph",
+    "dynamics": "DynamicsGraph distinguishing_network fixed_points has_preimage is_bijective"
+                " is_constant is_fixed_point is_identity limit_cycle_exists limit_cycles"
+                " limit_isomorphic reachable subdynamics transition_graph",
     "enumeration": "class_count enum_bp enum_bp0 enum_bp_star",
     "errors": "BlockparError CrossCheckError NetworkSyntaxError ResourceCapError"
               " ScheduleFormatError",
+    "gadget": "GadgetBundle PrimeGadgetBasis counter_gadget gadget_primes",
     "kernel": "step step_trace",
     "network": "BooleanNetwork eval_local format_config identity_network parse_config"
                " parse_network random_network serialize_network update_block",
-    "partitions": "Partition PrimeGadgetBasis gadget_primes lcm_of partitions_of",
+    "partitions": "Partition lcm_of partitions_of",
     "schedule": "BlockSequence MatrixRepresentation PartitionedOrder equiv0 equiv_star"
                 " is_bs_intersection matrix_repr parse_schedule phi serialize_schedule",
 }
@@ -95,6 +95,26 @@ def test_step_and_trace_load_the_kernel_not_dynamics(tmp_path, command):
     argv = [command, "--network", str(network), "--schedule", "[[0,1]]", "--config", "01"]
     watch = HEAVY + ("blockpar.dynamics", "blockpar.kernel")
     assert _loaded(argv, watch) == "0 [] ['blockpar.kernel']"
+
+
+def test_gadget_loads_neither_dynamics_nor_the_kernel():
+    watch = ("blockpar.gadget", "blockpar.dynamics", "blockpar.kernel")
+    assert _loaded(["gadget", "counter", "3"], watch) == "0 [] ['blockpar.gadget']"
+
+
+@pytest.mark.parametrize("command", ["count", "enum", "check", "step", "trace"])
+def test_other_commands_load_no_gadget_code(tmp_path, command):
+    network = tmp_path / "swap.bn"
+    network.write_text("x0 = x1\nx1 = !x0\n")
+    simulation = ["--network", str(network), "--schedule", "[[0],[1]]", "--config", "01"]
+    argv = {
+        "count": ["count", "3"],
+        "enum": ["enum", "3", "--limit", "1"],
+        "check": ["check", "fixed-point", *simulation],
+        "step": ["step", *simulation],
+        "trace": ["trace", *simulation],
+    }[command]
+    assert _loaded(argv, ("blockpar.gadget",)) == "0 [] []"
 
 
 def test_dynamics_reexports_the_kernel():

@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-from blockpar.partitions import (
-    Partition,
-    gadget_primes,
-    lcm_of,
-    partitions_of,
-    prime_count_for,
-    sieve_primes_below,
-)
+from blockpar.gadget import gadget_primes, prime_count_for, sieve_primes_below
+from blockpar.partitions import Partition, lcm_of, partitions_of
 
 import oracles
 

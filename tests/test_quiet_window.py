@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from blockpar.cli import EXIT_OK, EXIT_RESOURCE_CAP, main
-from blockpar.dynamics import counter_gadget, step, step_trace
+from blockpar.dynamics import step, step_trace
+from blockpar.gadget import counter_gadget
 from blockpar.network import BooleanNetwork, Not, Var
 from blockpar.schedule import DEFAULT_BLOCK_CAP, PartitionedOrder
 

@@ -12,9 +12,9 @@ import re
 import pytest
 
 from blockpar.cli import main
-from blockpar.dynamics import counter_gadget
+from blockpar.gadget import PrimeGadgetBasis, counter_gadget, gadget_primes
 from blockpar.network import TEXT, And, Const, Not, Or, Spelling, Var, Xor
-from blockpar.partitions import Partition, PrimeGadgetBasis, gadget_primes
+from blockpar.partitions import Partition
 from blockpar.schedule import BlockSequence, PartitionedOrder, matrix_repr
 
 #: (factory, its repr, a record of another type with the same field values)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from blockpar.dynamics import counter_gadget
 from blockpar.enumeration import enum_bp
 from blockpar.errors import ResourceCapError, ScheduleFormatError
+from blockpar.gadget import counter_gadget
 from blockpar.schedule import (
     BlockSequence,
     PartitionedOrder,
