@@ -41,8 +41,8 @@ EXIT_INTERNAL = 6
 #: memory held.
 WRITE_CHUNK = 1024
 
-#: ``--threads`` is parsed but starts no process, since one process writes
-#: every stream faster than a pool did; the benchmark still passes it.
+#: ``enum`` and ``dynamics`` parse ``--threads`` and start no process: one
+#: process writes every stream faster than a pool did; the benchmark passes it.
 THREADS_HELP = "accepted and ignored: every command runs in one process"
 
 #: The columns of the ``count`` table, and the column of each schedule class.
@@ -361,10 +361,17 @@ def cmd_gadget(args) -> dict:
     if args.out_prefix:
         network_path = args.out_prefix + ".bn"
         schedule_path = args.out_prefix + ".schedule"
-        with _open_output(network_path) as handle:
-            handle.write(network_text)
-        with _open_output(schedule_path) as handle:
-            handle.write(schedule_text + "\n")
+        # Open both before writing either; a failed second open removes the first.
+        network_file = _open_output(network_path)
+        try:
+            schedule_file = _open_output(schedule_path)
+        except BaseException:
+            network_file.close()
+            os.remove(network_path)
+            raise
+        with network_file, schedule_file:
+            network_file.write(network_text)
+            schedule_file.write(schedule_text + "\n")
         print(network_path)
         print(schedule_path)
         summary["files"] = [network_path, schedule_path]
@@ -483,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_max", type=_count_arg(1))
     p.add_argument("--classes", default="bp,bp0,bpstar")
     p.add_argument("--repeats", type=_count_arg(1), default=3)
-    p.add_argument("--threads", type=_count_arg(1), default=1, help=THREADS_HELP)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=cmd_bench)

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import struct
 import sys
+from functools import cache
 from itertools import chain, repeat
 from operator import and_, lshift, or_
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CrossCheckError, ResourceCapError
 # ``step`` and ``step_trace`` live in the kernel; they are public here too.
@@ -144,44 +145,40 @@ def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[list[i
         yield _transpose(planes, 1 << width)
 
 
-def _decompose(successors: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+def _decompose(successors: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Cycles and basins of the functional graph ``x -> successors[x]`` on
     ``0..len(successors)-1``.
 
     Each cycle is rotated to start at its smallest member; ``basin[x]`` is the
     index of the cycle the orbit of ``x`` reaches.
     """
-    size = len(successors)
-    # Iterative three-colour pointer chase: 0 unseen, 1 on current path, 2 resolved.
-    state = bytearray(size)
-    basin = [-1] * size
+    # Iterative pointer chase marked in ``basin``: -1 unseen, -2 on the path.
+    basin = [-1] * len(successors)
     cycles: list[tuple[int, ...]] = []
-    for start in range(size):
-        if state[start]:
+    for start in range(len(successors)):
+        if basin[start] != -1:
             continue
         path: list[int] = []
-        position: dict[int, int] = {}
         u = start
-        while state[u] == 0:
-            state[u] = 1
-            position[u] = len(path)
+        while basin[u] == -1:
+            basin[u] = -2
             path.append(u)
             u = successors[u]
-        if state[u] == 1:
-            members = path[position[u]:]
+        if basin[u] == -2:
+            members = path[path.index(u):]
             lowest = members.index(min(members))
             cycle_id = len(cycles)
             cycles.append(tuple(members[lowest:] + members[:lowest]))
         else:
             cycle_id = basin[u]
         for w in path:
-            state[w] = 2
             basin[w] = cycle_id
     return cycles, basin
 
 
-def _tree_children(successors, on_cycle) -> dict[int, list[int]]:
+def _tree_children(successors, cycles) -> dict[int, list[int]]:
     """The off-cycle predecessors of each vertex that has any."""
+    on_cycle = {u for cycle in cycles for u in cycle}
     children: dict[int, list[int]] = {}
     for x, s in enumerate(successors):
         if x not in on_cycle:
@@ -192,26 +189,26 @@ def _tree_children(successors, on_cycle) -> dict[int, list[int]]:
 class DynamicsGraph:
     """Functional graph of one full step over all ``2**n`` configurations.
 
-    ``cycles`` are the limit cycles (each rotated to start at its smallest
-    member), ``basin[x]`` is the index of the cycle the orbit of ``x`` reaches,
-    and ``limit_set`` collects every configuration lying on a cycle.
+    ``successors`` is the table as given (a tuple is not copied), ``cycles``
+    the limit cycles, each rotated to start at its smallest member, and
+    ``basin[x]`` the index of the cycle the orbit of ``x`` reaches.
+    ``limit_set``, every configuration on a cycle, is built when read.
     """
 
-    __slots__ = ("n", "successors", "cycles", "basin", "limit_set")
+    __slots__ = ("n", "successors", "cycles", "basin")
 
-    def __init__(self, n: int, successors: list[int]):
+    def __init__(self, n: int, successors: Sequence[int]):
         size = 1 << n
         if len(successors) != size:
             raise ValueError(f"expected {size} successors, got {len(successors)}")
         self.n = n
         self.successors = tuple(successors)
-        cycles, basin = _decompose(successors)
+        cycles, self.basin = _decompose(self.successors)
         self.cycles = tuple(cycles)
-        self.basin = tuple(basin)
-        self.limit_set = frozenset(c for cycle in cycles for c in cycle)
 
-    def successor(self, x: int) -> int:
-        return self.successors[x]
+    @property
+    def limit_set(self) -> frozenset[int]:
+        return frozenset(c for cycle in self.cycles for c in cycle)
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """Multiset of limit-cycle lengths, as a sorted tuple."""
@@ -227,7 +224,7 @@ def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
     process, which is faster than starting a pool.
     """
     what = f"transition graph over 2**{f.n} configurations"
-    return DynamicsGraph(f.n, list(_images(f, mu, what, cap)))
+    return DynamicsGraph(f.n, tuple(_images(f, mu, what, cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +408,8 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
 
     Decided twice: (a) the image of the step over all configurations has full
     cardinality, tested after each sub-cube, so the scan stops at the first
-    sub-cube that repeats an image; (b) every distinct substep block is
-    itself a bijective update.  The two answers must agree; a composition of
+    sub-cube that repeats an image; (b) every substep block is itself a
+    bijective update.  The two answers must agree; a composition of
     block updates is bijective exactly when every factor is.
     """
     seen: set[int] = set()
@@ -422,8 +419,9 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
         if len(seen) < size:
             break
     whole_step = len(seen) == 1 << f.n
-    # Substeps list one entry per o-block in o-block order: equal sets are equal tuples.
-    per_block = _blocks_bijective(f, set(mu.substeps()))
+    # No two substeps are equal (by the Chinese remainder theorem two differ
+    # modulo some o-block's length), so none is deduped.
+    per_block = _blocks_bijective(f, mu.substeps())
     if whole_step != per_block:
         raise CrossCheckError(
             f"bijectivity methods disagree: whole-step={whole_step},"
@@ -491,22 +489,15 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
         except (KeyError, TypeError):
             raise ValueError(f"successor {succ!r} of {node!r} is not a vertex") from None
     g_cycles, _ = _decompose(g_successors)
-    g_children = _tree_children(g_successors, {u for c in g_cycles for u in c})
+    g_children = _tree_children(g_successors, g_cycles)
     dyn = transition_graph(f, mu, cap=cap)
-    dyn_children = _tree_children(dyn.successors, dyn.limit_set)
+    dyn_children = _tree_children(dyn.successors, dyn.cycles)
 
-    tree_memo: dict[tuple[int, int], bool] = {}
-
+    @cache
     def tree_embeds(u: int, w: int) -> bool:
-        key = (u, w)
-        cached = tree_memo.get(key)
-        if cached is not None:
-            return cached
         gus = g_children.get(u, ())
         dws = dyn_children.get(w, ())
-        result = len(gus) <= len(dws) and _kuhn_match(gus, list(dws), tree_embeds)
-        tree_memo[key] = result
-        return result
+        return len(gus) <= len(dws) and _kuhn_match(gus, list(dws), tree_embeds)
 
     def component_embeds(g_cycle: tuple[int, ...], dyn_cycle: tuple[int, ...]) -> bool:
         length = len(g_cycle)

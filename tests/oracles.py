@@ -204,18 +204,27 @@ def full_source(expr, var: str, one: str) -> str:
 
 def orbit_decomposition(successors) -> tuple[list[tuple[int, ...]], list[int]]:
     """Cycles, in order of the first vertex reaching each, and the index of
-    the cycle each vertex reaches; every orbit is followed until it repeats."""
+    the cycle each vertex reaches; every orbit is followed until it repeats.
+
+    Each orbit keeps its own positions, so no mark is shared between starts.
+    Cycles are disjoint, so a cycle is named by its smallest member, where
+    its least rotation starts."""
     cycles: list[tuple[int, ...]] = []
+    index: dict[int, int] = {}
     basin = []
     for x in range(len(successors)):
-        orbit = [x]
-        while successors[orbit[-1]] not in orbit:
-            orbit.append(successors[orbit[-1]])
-        members = orbit[orbit.index(successors[orbit[-1]]):]
-        cycle = rotation_key(tuple(members))
-        if cycle not in cycles:
-            cycles.append(cycle)
-        basin.append(cycles.index(cycle))
+        place: dict[int, int] = {}
+        y = x
+        while y not in place:
+            place[y] = len(place)
+            y = successors[y]
+        members = list(place)[place[y]:]
+        lowest = min(members)
+        if lowest not in index:
+            index[lowest] = len(cycles)
+            at = members.index(lowest)
+            cycles.append(tuple(members[at:] + members[:at]))
+        basin.append(index[lowest])
     return cycles, basin
 
 

@@ -205,6 +205,16 @@ def test_output_in_a_missing_directory_is_bad_input(argv, opened, tmp_path, caps
                             f" '{opened.format(missing=missing)}'\n")
 
 
+def test_gadget_leaves_no_lone_network_file(tmp_path, monkeypatch, capsys):
+    # Both files are opened before either is written: when the second cannot
+    # be opened, the first is removed again.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pp.schedule").mkdir()
+    assert main(["gadget", "counter", "3", "--out-prefix", "pp"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'pp.schedule'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pp.schedule"]
+
+
 PROBE = """
 import sys
 from blockpar.cli import main

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from blockpar.cli import EXIT_BAD_INPUT, main
-from blockpar.dynamics import DynamicsGraph, subdynamics, transition_graph
+from blockpar.dynamics import DynamicsGraph, _decompose, subdynamics, transition_graph
 from blockpar.network import random_network
 from blockpar.schedule import PartitionedOrder
 
@@ -25,6 +25,42 @@ def test_cycles_and_basins_match_orbit_oracle(n):
         assert list(graph.cycles) == cycles
         assert list(graph.basin) == basin
         assert graph.limit_set == {x for cycle in cycles for x in cycle}
+
+
+def test_a_successor_tuple_is_kept():
+    successors = (1, 0, 3, 3)
+    graph = DynamicsGraph(2, successors)
+    assert graph.successors is successors
+    assert graph.cycles == ((0, 1), (3,))
+    assert graph.basin == [0, 0, 1, 1]
+    assert graph.limit_set == {0, 1, 3}
+
+
+def _single_cycle(size: int, rng: random.Random) -> list[int]:
+    order = list(range(size))
+    rng.shuffle(order)
+    successors = [0] * size
+    for a, b in zip(order, order[1:] + order[:1]):
+        successors[a] = b
+    return successors
+
+
+def _long_tail(size: int, rng: random.Random) -> list[int]:
+    """One path through every vertex into a cycle of three at its end."""
+    order = list(range(size))
+    rng.shuffle(order)
+    successors = [0] * size
+    for a, b in zip(order, order[1:]):
+        successors[a] = b
+    successors[order[-1]] = order[-3]
+    return successors
+
+
+@pytest.mark.parametrize("table", [_single_cycle, _long_tail])
+def test_long_orbits_match_orbit_oracle(table):
+    successors = table(1 << 12, random.Random(12))
+    cycles, basin = _decompose(successors)
+    assert (cycles, basin) == oracles.orbit_decomposition(successors)
 
 
 def _random_schedule(n: int, rng: random.Random) -> PartitionedOrder:

@@ -165,7 +165,6 @@ def test_enum_checks_arguments_before_opening_out(tmp_path, capsys):
     (["enum", "3", "--threads", "-1"], "--threads"),
     (["enum", "3", "--threads", "-2"], "--threads"),
     (["dynamics", "--network", "n.bn", "--schedule", "[[0]]", "--threads", "0"], "--threads"),
-    (["bench", "2", "--threads", "0"], "--threads"),
     (["bench", "2", "--repeats", "x"], "--repeats"),
 ])
 def test_count_options_below_their_minimum_are_usage_errors(argv, flag, capsys):
@@ -175,6 +174,15 @@ def test_count_options_below_their_minimum_are_usage_errors(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+
+
+def test_bench_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "2", "--threads", "0"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threads 0" in captured.err
 
 
 def test_empty_partition_text_is_refused(capsys):

@@ -43,6 +43,12 @@ class TestPhi:
                 assert len(seq) == mu.lcm()
                 assert all(len(block) == mu.s for block in seq.blocks)
 
+    def test_no_two_substeps_are_equal(self):
+        # Two substeps below the lcm differ modulo some o-block's length.
+        for n in range(1, 7):
+            for mu in enum_bp(n):
+                assert len(set(mu.substeps())) == mu.lcm()
+
     def test_cap(self):
         mu = PO(5, [(0, 1), (2, 3, 4)])
         with pytest.raises(ResourceCapError):
