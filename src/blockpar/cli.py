@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from contextlib import closing, contextmanager
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
@@ -235,19 +235,16 @@ def cmd_trace(args) -> dict:
     """Write the trace as the kernel runs, ``WRITE_CHUNK`` lines a ``write``,
     then the settled configuration's line once for each substep left."""
     from .kernel import trajectory
-    from .network import format_config, parse_config
+    from .network import format_config, format_configs, parse_config
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
     rest, length = trajectory(f, mu, x, cap=args.cap_substeps)
     configs = chain([x], rest)
-    spec = repeat(f"0{f.n}b")
     written = 0
     while chunk := list(islice(configs, WRITE_CHUNK)):
-        # Reversing the joined text puts automaton 0 first in every line and
-        # the lines back in order.
-        sys.stdout.write("\n".join(map(format, reversed(chunk), spec))[::-1] + "\n")
+        sys.stdout.write(format_configs(chunk, f.n) + "\n")
         written += len(chunk)
         x = chunk[-1]
     line = format_config(x, f.n) + "\n"

@@ -7,30 +7,41 @@ configuration through one step, is :mod:`blockpar.kernel`; ``step`` and
 compiles this module.  The whole-space evaluator, ``_images``, is
 bit-sliced: it holds all ``2**n`` configurations as ``n`` bit-planes (one
 Python int per automaton, one bit per configuration), runs each substep once
-over every plane, and transposes the planes back into one image per
-configuration.  It works through sub-cubes of doubling size, so a decider
-that stops early evaluates few configurations.  The transition graph and the
-whole-space deciders read it; ``is_bijective`` checks it against a scalar
-per-block method, ``_blocks_bijective``.  That method splits each block
+over every plane, and transposes the planes back into one machine word per
+configuration, read through a typed ``memoryview``.  It works through
+sub-cubes of doubling size, so a decider that stops early evaluates few
+configurations.  ``transition_graph`` joins the sub-cubes into one
+``array`` (1 to 4 bytes a configuration up to ``n = 20``), and
+``DynamicsGraph`` keeps the table it is given.  The whole-space deciders
+read the sub-cubes; ``is_bijective`` marks their images in a ``bytearray``
+and checks them against a scalar per-block method, ``_blocks_bijective``.
+That method splits each block
 into dependency components (members joined when either reads the other)
 and checks each component only over the configurations of its support,
 the component with every automaton its locals read; each local is
 evaluated once per assignment of the variables it reads, into a truth
 table of bytes (its docstring says why this is exact).  Every cycle
-decomposition, of the transition graph and
-of a subdynamics pattern, is one pointer chase, ``_decompose``.  The
-exports, ``dot_lines`` and ``json_lines``, yield their text lazily, one
-edge or one cycle at a time, so no export is built as one string.  Everything
+decomposition, of the transition graph and of a subdynamics pattern, is one
+pointer chase, ``_decompose``, into ``array('i')``: the basins, and the
+cycles as one flat array of members with an array of end offsets; the
+graph's ``cycles`` tuples are built when read.  The exports, ``dot_lines``
+and ``json_lines``, yield their text lazily, one edge or one cycle at a
+time, and name the configurations a chunk at a time, so no export holds a
+name for every configuration or is built as one string.  Everything
 here is exact and exhaustive, guarded by explicit resource caps.  The
 ``cap`` keyword bounds the substeps one step may expand to (``None`` for no
 cap).  Module constants, read at each call, bound the rest:
 ``DEFAULT_GRAPH_N_CAP`` the automata of a whole-space operation,
 ``DEFAULT_NODE_CAP`` the vertices of a ``subdynamics`` pattern and
 ``DEFAULT_REACH_STEP_CAP`` the orbit ``reachable`` follows.  Every entry
-point checks its inputs once, through ``_check_call``: the sizes match, then
-each configuration is in range, then the graph cap, then the substep cap
-(:func:`~blockpar.schedule.check_substeps`).  Exceeding a cap raises
-:class:`ResourceCapError` rather than truncating.
+point checks its inputs once, in this order: the sizes match, then each
+configuration is in range, then (for a whole-space call) the graph cap,
+then the substep cap (:func:`~blockpar.schedule.check_substeps`).
+Exceeding a cap raises :class:`ResourceCapError` rather than truncating.
+
+This module is kept under 4,096 tokens.  Past that, CPython's parser
+doubles its token array and allocates a token for every new slot: about
+0.25 MB more peak memory for every command that compiles the module.
 """
 
 from __future__ import annotations
@@ -38,14 +49,14 @@ from __future__ import annotations
 import struct
 import sys
 from functools import cache
-from itertools import chain, repeat
-from operator import and_, lshift, or_
+from itertools import chain, permutations, repeat
+from operator import and_, lshift, or_, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CrossCheckError, ResourceCapError
 # ``step`` and ``step_trace`` live in the kernel; they are public here too.
-from .kernel import _check_configs, _Kernel, step, step_trace  # noqa: F401
-from .network import BooleanNetwork, Or, Var, format_config
+from .kernel import _check_call, _check_configs, _Kernel, step, step_trace  # noqa: F401
+from .network import BooleanNetwork, Or, Var, format_config, format_configs
 from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
 
 #: Most automata a whole-space operation runs on (``n_cap`` in its message).
@@ -57,18 +68,6 @@ DEFAULT_REACH_STEP_CAP = 1 << DEFAULT_GRAPH_N_CAP
 #: ``_images`` evaluates the first ``2**_FIRST_CUBE_WIDTH`` configurations
 #: alone, then sub-cubes that double in size.
 _FIRST_CUBE_WIDTH = 8
-
-
-def _check_call(f: BooleanNetwork, mu: PartitionedOrder, cap: Optional[int],
-                *configs: int, what: Optional[str] = None) -> None:
-    """Check an entry point's inputs, once, in this order: ``f`` and ``mu``
-    act on the same automata; each of ``configs`` is a configuration of
-    them; a whole-space call, which names its operation ``what``, fits
-    ``DEFAULT_GRAPH_N_CAP``; one step fits ``cap`` substeps."""
-    _check_configs(f, mu, *configs)
-    if what is not None and f.n > DEFAULT_GRAPH_N_CAP:
-        raise ResourceCapError(f"{what} exceeds n_cap={DEFAULT_GRAPH_N_CAP}")
-    check_substeps(mu, cap)
 
 
 def _cube_planes(n: int, base: int, width: int) -> tuple[list[int], int]:
@@ -89,11 +88,11 @@ def _cube_planes(n: int, base: int, width: int) -> tuple[list[int], int]:
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _transpose(planes: list[int], lanes: int) -> list[int]:
+def _transpose(planes: list[int], lanes: int) -> memoryview:
     """The configuration held in each lane of ``planes``, lane 0 first.
 
     Each group of eight planes becomes one byte per lane; the groups are
-    interleaved into machine words and read back as one list.
+    interleaved into machine words, read as one typed view.
     """
     code = next(c for c in "BHIQ" if struct.calcsize(c) * 8 >= len(planes))
     word = struct.calcsize(code)
@@ -105,13 +104,13 @@ def _transpose(planes: list[int], lanes: int) -> list[int]:
             group |= int.from_bytes(digits, "big") << i
         byte = low // 8 if sys.byteorder == "little" else word - 1 - low // 8
         table[byte::word] = group.to_bytes(lanes, "little")
-    return memoryview(table).cast(code).tolist()
+    return memoryview(table).cast(code)
 
 
 def _image_cubes(f: BooleanNetwork, mu: PartitionedOrder, what: str,
-                 cap: Optional[int], *configs: int) -> Iterator[list[int]]:
+                 cap: Optional[int], *configs: int) -> Iterator[memoryview]:
     """The whole-space evaluator: the one-step images of every configuration,
-    in order, one list per sub-cube.  The caps are checked at the call; the
+    in order, one typed view per sub-cube.  The caps are checked at the call; the
     sub-cubes come lazily.
 
     Bit-sliced: a sub-cube of configurations is held as ``n`` bit-planes, one
@@ -120,9 +119,13 @@ def _image_cubes(f: BooleanNetwork, mu: PartitionedOrder, what: str,
     ``2**_FIRST_CUBE_WIDTH``, then each sub-cube ``[2**k, 2**(k+1))`` follows,
     so an early exit costs few lanes and the whole space costs ``2**n``.
     ``what`` names the operation in the ``n_cap`` error; ``configs``, the
-    caller's configuration arguments, are checked with the rest.
+    caller's configuration arguments, are checked first, and the substep cap
+    last.
     """
-    _check_call(f, mu, cap, *configs, what=what)
+    _check_configs(f, mu, *configs)
+    if f.n > DEFAULT_GRAPH_N_CAP:
+        raise ResourceCapError(f"{what} exceeds n_cap={DEFAULT_GRAPH_N_CAP}")
+    check_substeps(mu, cap)
     return _sub_cube_images(f, mu)
 
 
@@ -132,7 +135,7 @@ def _images(f: BooleanNetwork, mu: PartitionedOrder, what: str,
     return chain.from_iterable(_image_cubes(f, mu, what, cap, *configs))
 
 
-def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[list[int]]:
+def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[memoryview]:
     sliced = f.sliced()
     first = min(f.n, _FIRST_CUBE_WIDTH)
     for base, width in [(0, first), *((1 << k, k) for k in range(first, f.n))]:
@@ -145,40 +148,47 @@ def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[list[i
         yield _transpose(planes, 1 << width)
 
 
-def _decompose(successors: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+def _decompose(successors: Sequence[int]):
     """Cycles and basins of the functional graph ``x -> successors[x]`` on
-    ``0..len(successors)-1``.
-
-    Each cycle is rotated to start at its smallest member; ``basin[x]`` is the
-    index of the cycle the orbit of ``x`` reaches.
+    ``0..len(successors)-1``, as three ``array('i')``: ``members``, every
+    cycle rotated to start at its smallest member, one after another;
+    ``ends``, where each cycle's members end; and ``basin``, where
+    ``basin[x]`` is the index of the cycle the orbit of ``x`` reaches.
     """
+    from array import array
+
     # Iterative pointer chase marked in ``basin``: -1 unseen, -2 on the path.
-    basin = [-1] * len(successors)
-    cycles: list[tuple[int, ...]] = []
+    basin = array("i", [-1]) * len(successors)
+    members, ends = array("i"), array("i")
     for start in range(len(successors)):
         if basin[start] != -1:
             continue
-        path: list[int] = []
+        path = []
         u = start
         while basin[u] == -1:
             basin[u] = -2
             path.append(u)
             u = successors[u]
         if basin[u] == -2:
-            members = path[path.index(u):]
-            lowest = members.index(min(members))
-            cycle_id = len(cycles)
-            cycles.append(tuple(members[lowest:] + members[:lowest]))
+            cycle = path[path.index(u):]
+            lowest = cycle.index(min(cycle))
+            members.extend(cycle[lowest:] + cycle[:lowest])
+            cycle_id = len(ends)
+            ends.append(len(members))
         else:
             cycle_id = basin[u]
         for w in path:
             basin[w] = cycle_id
-    return cycles, basin
+    return members, ends, basin
 
 
-def _tree_children(successors, cycles) -> dict[int, list[int]]:
-    """The off-cycle predecessors of each vertex that has any."""
-    on_cycle = {u for cycle in cycles for u in cycle}
+def _cycles(members, ends):
+    """The cycles that ``_decompose`` stores flat, one tuple each."""
+    return tuple(tuple(members[a:b]) for a, b in zip(chain([0], ends), ends))
+
+
+def _tree_children(successors, on_cycle) -> dict[int, list[int]]:
+    """The predecessors not in ``on_cycle`` of each vertex that has any."""
     children: dict[int, list[int]] = {}
     for x, s in enumerate(successors):
         if x not in on_cycle:
@@ -189,30 +199,35 @@ def _tree_children(successors, cycles) -> dict[int, list[int]]:
 class DynamicsGraph:
     """Functional graph of one full step over all ``2**n`` configurations.
 
-    ``successors`` is the table as given (a tuple is not copied), ``cycles``
-    the limit cycles, each rotated to start at its smallest member, and
-    ``basin[x]`` the index of the cycle the orbit of ``x`` reaches.
-    ``limit_set``, every configuration on a cycle, is built when read.
+    ``successors`` is the table as given, not copied (``transition_graph``
+    gives an ``array``), and ``basin[x]`` the index of the cycle the orbit
+    of ``x`` reaches.  The cycles are held flat, as ``_decompose`` stores
+    them; ``cycles``, each cycle a tuple rotated to start at its smallest
+    member, and ``limit_set``, every configuration on a cycle, are built
+    when read.
     """
 
-    __slots__ = ("n", "successors", "cycles", "basin")
+    __slots__ = ("n", "successors", "basin", "_members", "_ends")
 
     def __init__(self, n: int, successors: Sequence[int]):
         size = 1 << n
         if len(successors) != size:
             raise ValueError(f"expected {size} successors, got {len(successors)}")
         self.n = n
-        self.successors = tuple(successors)
-        cycles, self.basin = _decompose(self.successors)
-        self.cycles = tuple(cycles)
+        self.successors = successors
+        self._members, self._ends, self.basin = _decompose(successors)
+
+    @property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        return _cycles(self._members, self._ends)
 
     @property
     def limit_set(self) -> frozenset[int]:
-        return frozenset(c for cycle in self.cycles for c in cycle)
+        return frozenset(self._members)
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """Multiset of limit-cycle lengths, as a sorted tuple."""
-        return tuple(sorted(len(c) for c in self.cycles))
+        return tuple(sorted(map(sub, self._ends, chain([0], self._ends))))
 
 
 def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
@@ -223,8 +238,15 @@ def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
     ``workers`` is accepted and ignored: the sliced table is built in one
     process, which is faster than starting a pool.
     """
-    what = f"transition graph over 2**{f.n} configurations"
-    return DynamicsGraph(f.n, tuple(_images(f, mu, what, cap)))
+    # Imported where a graph is built, so the other commands never load it.
+    from array import array
+
+    cubes = _image_cubes(f, mu, f"transition graph over 2**{f.n} configurations", cap)
+    first = next(cubes)
+    table = array(first.format, first.tobytes())
+    for cube in cubes:
+        table.frombytes(cube.cast("B"))
+    return DynamicsGraph(f.n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +279,8 @@ def limit_cycle_exists(f: BooleanNetwork, mu: PartitionedOrder, k: int,
     """
     if k < 1:
         raise ValueError(f"cycle exponent must be positive, got {k}")
-    graph = transition_graph(f, mu, cap=cap)
-    return any(k % len(c) == 0 for c in graph.cycles)
+    lengths = transition_graph(f, mu, cap=cap).cycle_lengths()
+    return any(k % length == 0 for length in set(lengths))
 
 
 def limit_isomorphic(f: BooleanNetwork, mu: PartitionedOrder, mu2: PartitionedOrder,
@@ -279,20 +301,16 @@ def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
     steps."""
     _check_call(f, mu, cap, x, y)
     kernel = _Kernel(f, mu)
-    step_cap = DEFAULT_REACH_STEP_CAP
     seen: set[int] = set()
-    cur = x
-    while True:
-        if cur == y:
-            return True
-        if cur in seen:
+    while x != y:
+        if x in seen:
             return False
-        if len(seen) >= step_cap:
+        if len(seen) >= DEFAULT_REACH_STEP_CAP:
             raise ResourceCapError(
-                f"orbit search exceeds the step cap of {step_cap}"
-            )
-        seen.add(cur)
-        cur = kernel.image(cur)
+                f"orbit search exceeds the step cap of {DEFAULT_REACH_STEP_CAP}")
+        seen.add(x)
+        x = kernel.image(x)
+    return True
 
 
 def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
@@ -412,13 +430,15 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     bijective update.  The two answers must agree; a composition of
     block updates is bijective exactly when every factor is.
     """
-    seen: set[int] = set()
+    seen = bytearray(1 << f.n)
+    size = 0
     for cube in _image_cubes(f, mu, f"bijectivity check over 2**{f.n}", cap):
-        size = len(seen) + len(cube)
-        seen.update(cube)
-        if len(seen) < size:
+        size += len(cube)
+        for y in cube:
+            seen[y] = 1
+        if seen.count(1) < size:
             break
-    whole_step = len(seen) == 1 << f.n
+    whole_step = seen.count(1) == len(seen)
     # No two substeps are equal (by the Chinese remainder theorem two differ
     # modulo some o-block's length), so none is deduped.
     per_block = _blocks_bijective(f, mu.substeps())
@@ -448,7 +468,7 @@ def is_constant(f: BooleanNetwork, mu: PartitionedOrder,
 # ---------------------------------------------------------------------------
 # Subdynamics recognition
 
-def _kuhn_match(left: list, right: list, feasible) -> bool:
+def _kuhn_match(left: Sequence, right: Sequence, feasible) -> bool:
     """Can every left vertex be matched to a distinct feasible right vertex?"""
     match_of: dict = {}
 
@@ -488,10 +508,12 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
             g_successors.append(label[succ])
         except (KeyError, TypeError):
             raise ValueError(f"successor {succ!r} of {node!r} is not a vertex") from None
-    g_cycles, _ = _decompose(g_successors)
-    g_children = _tree_children(g_successors, g_cycles)
+    g_members, g_ends, _ = _decompose(g_successors)
+    g_cycles = _cycles(g_members, g_ends)
+    g_children = _tree_children(g_successors, frozenset(g_members))
     dyn = transition_graph(f, mu, cap=cap)
-    dyn_children = _tree_children(dyn.successors, dyn.cycles)
+    dyn_cycles = dyn.cycles
+    dyn_children = _tree_children(dyn.successors, dyn.limit_set)
 
     @cache
     def tree_embeds(u: int, w: int) -> bool:
@@ -499,22 +521,16 @@ def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
         dws = dyn_children.get(w, ())
         return len(gus) <= len(dws) and _kuhn_match(gus, list(dws), tree_embeds)
 
-    def component_embeds(g_cycle: tuple[int, ...], dyn_cycle: tuple[int, ...]) -> bool:
-        length = len(g_cycle)
-        if length != len(dyn_cycle):
-            return False
-        for rotation in range(length):
-            if all(
-                tree_embeds(g_cycle[idx], dyn_cycle[(idx + rotation) % length])
-                for idx in range(length)
-            ):
-                return True
-        return False
+    def component_embeds(g_cycle, dyn_cycle) -> bool:
+        return len(g_cycle) == len(dyn_cycle) and any(
+            all(map(tree_embeds, g_cycle, dyn_cycle[r:] + dyn_cycle[:r]))
+            for r in range(len(g_cycle))
+        )
 
     return _kuhn_match(
-        list(range(len(g_cycles))),
-        list(range(len(dyn.cycles))),
-        lambda gi, di: component_embeds(g_cycles[gi], dyn.cycles[di]),
+        range(len(g_cycles)),
+        range(len(dyn_cycles)),
+        lambda gi, di: component_embeds(g_cycles[gi], dyn_cycles[di]),
     )
 
 
@@ -535,36 +551,37 @@ def distinguishing_network(mu: PartitionedOrder, mu2: PartitionedOrder
     """
     if equiv0(mu, mu2):
         raise ValueError("schedules are dynamically equal; nothing distinguishes them")
-    times = mu.first_update_times()
-    times2 = mu2.first_update_times()
-    n = mu.n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if times[i] <= times[j] and times2[i] > times2[j]:
-                locals_: list = [Var(k) for k in range(n)]
-                locals_[i] = Or(Var(i), Var(j))
-                locals_[j] = Var(i)
-                witness = 1 << j
-                return BooleanNetwork(locals_), witness, i
+    times, times2 = mu.first_update_times(), mu2.first_update_times()
+    for i, j in permutations(range(mu.n), 2):
+        if times[i] <= times[j] and times2[i] > times2[j]:
+            locals_: list = [Var(k) for k in range(mu.n)]
+            locals_[i], locals_[j] = Or(Var(i), Var(j)), Var(i)
+            return BooleanNetwork(locals_), 1 << j, i
     return None
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
-def _names(graph: DynamicsGraph) -> list[str]:
-    """The bitstring of every configuration, indexed by configuration."""
-    return [format_config(x, graph.n) for x in range(len(graph.successors))]
+#: Configurations named per ``format_configs`` call of an export.
+_NAME_CHUNK = 1024
+
+
+def _edges(graph: DynamicsGraph) -> Iterator[tuple[str, str]]:
+    """The names of each configuration and its successor, in order, formatted
+    a chunk at a time."""
+    n, successors = graph.n, graph.successors
+    for base in range(0, len(successors), _NAME_CHUNK):
+        targets = successors[base:base + _NAME_CHUNK]
+        sources = range(base, base + len(targets))
+        yield from zip(format_configs(sources, n).split("\n"),
+                       format_configs(targets, n).split("\n"))
 
 
 def dot_lines(graph: DynamicsGraph) -> Iterator[str]:
     """The lines of :func:`to_dot`, without newlines, lazily."""
-    names = _names(graph)
     yield "digraph dynamics {"
-    for x, s in enumerate(graph.successors):
-        yield f'  "{names[x]}" -> "{names[s]}";'
+    yield from (f'  "{x}" -> "{s}";' for x, s in _edges(graph))
     yield "}"
 
 
@@ -588,34 +605,33 @@ def json_lines(graph: DynamicsGraph) -> Iterator[str]:
     """The lines of ``json.dumps(graph_json(graph), indent=2)``, without
     newlines, lazily: the lines of one edge, or of one cycle's members, come
     as one piece."""
-    names = _names(graph)
-    cycles = sorted(graph.cycles, key=len)
-    yield f'{{\n  "n": {graph.n},\n  "edges": ['
-    yield from _with_commas(
-        f'    [\n      "{names[x]}",\n      "{names[s]}"\n    ]'
-        for x, s in enumerate(graph.successors)
-    )
+    n, ends = graph.n, graph._ends
+    lengths = list(map(sub, ends, chain([0], ends)))
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    yield f'{{\n  "n": {n},\n  "edges": ['
+    yield from _with_commas(f'    [\n      "{x}",\n      "{s}"\n    ]' for x, s in _edges(graph))
     yield '  ],\n  "cycles": {\n    "lengths": ['
-    yield from _with_commas(f"      {len(cycle)}" for cycle in cycles)
+    yield from _with_commas(f"      {lengths[k]}" for k in order)
     yield '    ],\n    "members": ['
     yield from _with_commas(
-        "      [\n" + ",\n".join(f'        "{names[x]}"' for x in cycle) + "\n      ]"
-        for cycle in cycles
+        '      [\n        "'
+        + format_configs(graph._members[ends[k] - lengths[k]:ends[k]], n)
+        .replace("\n", '",\n        "')
+        + '"\n      ]'
+        for k in order
     )
     yield "    ]\n  }\n}"
 
 
 def graph_json(graph: DynamicsGraph) -> dict:
     """JSON-ready edge list with a cycles summary."""
-    names = _names(graph)
+    names = [format_config(x, graph.n) for x in range(len(graph.successors))]
+    cycles = sorted(graph.cycles, key=len)
     return {
         "n": graph.n,
         "edges": [[names[x], names[s]] for x, s in enumerate(graph.successors)],
         "cycles": {
-            "lengths": [len(c) for c in sorted(graph.cycles, key=len)],
-            "members": [
-                [names[x] for x in cycle]
-                for cycle in sorted(graph.cycles, key=len)
-            ],
+            "lengths": list(map(len, cycles)),
+            "members": [[names[x] for x in cycle] for cycle in cycles],
         },
     }

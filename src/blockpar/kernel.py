@@ -119,22 +119,24 @@ def step(f: BooleanNetwork, mu: PartitionedOrder, x: int,
 def trajectory(f: BooleanNetwork, mu: PartitionedOrder, x: int,
                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> tuple[Iterator[int], int]:
     """The configurations after each substep from ``x``, lazily, until the
-    kernel stops, and the length of the whole trace (``lcm + 1``).
+    kernel stops, and the length of the whole trace (``lcm + 1``, which may
+    exceed ``sys.maxsize``).
 
-    The inputs and the trace length are checked at the call."""
+    The inputs are checked at the call."""
     _check_call(f, mu, cap, x)
-    length = mu.lcm() + 1
-    if length > sys.maxsize:
-        raise ResourceCapError(f"a trace of {length} configurations does not fit in a list")
-    return _Kernel(f, mu).trajectory(x), length
+    return _Kernel(f, mu).trajectory(x), mu.lcm() + 1
 
 
 def step_trace(f: BooleanNetwork, mu: PartitionedOrder, x: int,
                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> list[int]:
     """``x`` followed by the configuration after each substep (length lcm+1).
 
-    Once the kernel stops, the settled configuration fills the rest."""
+    Once the kernel stops, the settled configuration fills the rest.  A trace
+    longer than ``sys.maxsize`` does not fit in a list and raises
+    :class:`ResourceCapError`."""
     configs, length = trajectory(f, mu, x, cap)
+    if length > sys.maxsize:
+        raise ResourceCapError(f"a trace of {length} configurations does not fit in a list")
     trace = [x, *configs]
     trace.extend(repeat(trace[-1], length - len(trace)))
     return trace

@@ -20,7 +20,8 @@ from __future__ import annotations
 import operator
 import re
 from functools import reduce
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NetworkSyntaxError, Record
 
@@ -272,6 +273,14 @@ def parse_config(text: str, n: Optional[int] = None) -> int:
 def format_config(x: int, n: int) -> str:
     """Configuration to bitstring; automaton 0 leftmost."""
     return format(x & ((1 << n) - 1), f"0{n}b")[::-1]
+
+
+def format_configs(xs: Sequence[int], n: int) -> str:
+    """The bitstrings of ``xs``, configurations of ``n`` automata, one per
+    line, without a final newline."""
+    # Reversing the joined text puts automaton 0 first in every line and the
+    # lines back in order.
+    return "\n".join(map(format, reversed(xs), repeat(f"0{n}b")))[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from blockpar.cli import EXIT_BAD_INPUT, main
-from blockpar.dynamics import DynamicsGraph, _decompose, subdynamics, transition_graph
+from blockpar.dynamics import DynamicsGraph, subdynamics, transition_graph
 from blockpar.network import random_network
 from blockpar.schedule import PartitionedOrder
 
@@ -24,6 +24,7 @@ def test_cycles_and_basins_match_orbit_oracle(n):
         cycles, basin = oracles.orbit_decomposition(successors)
         assert list(graph.cycles) == cycles
         assert list(graph.basin) == basin
+        assert graph.cycle_lengths() == tuple(sorted(map(len, cycles)))
         assert graph.limit_set == {x for cycle in cycles for x in cycle}
 
 
@@ -32,7 +33,7 @@ def test_a_successor_tuple_is_kept():
     graph = DynamicsGraph(2, successors)
     assert graph.successors is successors
     assert graph.cycles == ((0, 1), (3,))
-    assert graph.basin == [0, 0, 1, 1]
+    assert list(graph.basin) == [0, 0, 1, 1]
     assert graph.limit_set == {0, 1, 3}
 
 
@@ -59,8 +60,11 @@ def _long_tail(size: int, rng: random.Random) -> list[int]:
 @pytest.mark.parametrize("table", [_single_cycle, _long_tail])
 def test_long_orbits_match_orbit_oracle(table):
     successors = table(1 << 12, random.Random(12))
-    cycles, basin = _decompose(successors)
-    assert (cycles, basin) == oracles.orbit_decomposition(successors)
+    graph = DynamicsGraph(12, successors)
+    cycles, basin = oracles.orbit_decomposition(successors)
+    assert (list(graph.cycles), list(graph.basin)) == (cycles, basin)
+    assert graph.cycle_lengths() == tuple(sorted(map(len, cycles)))
+    assert graph.limit_set == {x for cycle in cycles for x in cycle}
 
 
 def _random_schedule(n: int, rng: random.Random) -> PartitionedOrder:

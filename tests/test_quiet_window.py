@@ -10,15 +10,21 @@ benchmark's ``orbit`` inputs for seeds 0 and 1 (the trace networks are in
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
+from blockpar import kernel
 from blockpar.cli import EXIT_OK, EXIT_RESOURCE_CAP, main
 from blockpar.dynamics import step, step_trace
+from blockpar.errors import ResourceCapError
 from blockpar.gadget import counter_gadget
-from blockpar.network import BooleanNetwork, Not, Var
-from blockpar.schedule import DEFAULT_BLOCK_CAP, PartitionedOrder
+from blockpar.network import BooleanNetwork, Not, Var, format_config, parse_network
+from blockpar.schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, parse_schedule
 
 from test_substep_rule import oracle_trace
 
@@ -166,6 +172,24 @@ def test_large_gadget_step_settles_and_cap_still_applies(capsys, tmp_path):
         "error: one step expands to 40729680599249024150621323470 substeps,"
         " above the cap of 1000000\n"
     )
-    assert main(["trace", *files, "--cap-substeps", str(10**30)]) == EXIT_RESOURCE_CAP
-    assert capsys.readouterr() == ("", "error: a trace of 40729680599249024150621323471"
-                                       " configurations does not fit in a list\n")
+    # trace streams past sys.maxsize lines; only step_trace's list is bounded.
+    source = str(Path(kernel.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "blockpar", "trace", *files, "--cap-substeps", str(10**30)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": source}) as process:
+        lines = [process.stdout.readline() for _ in range(3)]
+        process.stdout.close()
+        try:
+            status = process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            raise
+        err = process.stderr.read()
+    f = parse_network(Path(prefix + ".bn").read_text())
+    mu = parse_schedule(Path(prefix + ".schedule").read_text())
+    configs, _ = kernel.trajectory(f, mu, 0, cap=10**30)
+    expected = [format_config(x, 722).encode() + b"\n" for x in [0, *islice(configs, 2)]]
+    assert (status, err, lines) == (0, b"", expected)
+    with pytest.raises(ResourceCapError, match="^a trace of 40729680599249024150621323471"
+                       " configurations does not fit in a list$"):
+        step_trace(f, mu, 0, cap=10**30)

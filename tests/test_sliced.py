@@ -57,7 +57,7 @@ def test_sliced_matches_scalar_oracle(n):
         f = random_network(n, rng)
         mu = random_order(n, rng)
         expected = tuple(oracles.substep_image(f, mu, x) for x in range(1 << n))
-        assert transition_graph(f, mu).successors == expected
+        assert tuple(transition_graph(f, mu).successors) == expected
 
 
 def test_workers_match_sequential():
@@ -128,6 +128,30 @@ def test_transition_graph_holds_each_table_once():
         tracemalloc.stop()
     assert graph.cycle_lengths() == (1 << 16,)
     assert peak < 6.5 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_the_successor_table_is_one_typed_array(n):
+    # A buffer of machine words, at most 4 bytes a configuration up to n = 20.
+    f = random_network(n, random.Random(n))
+    table = memoryview(transition_graph(f, random_order(n, random.Random(n))).successors)
+    assert table.itemsize <= 4
+    assert table.itemsize * 8 >= n
+
+
+def test_dot_export_names_configurations_a_chunk_at_a_time():
+    # A name per configuration held at once peaked at 4.6 MiB.
+    graph = transition_graph(increment_network(16), PartitionedOrder.parallel(16))
+    tracemalloc.start()
+    try:
+        lines = 0
+        for _ in dynamics.dot_lines(graph):
+            lines += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == (1 << 16) + 2
+    assert peak < 2**20
 
 
 def test_wrong_planes_fail_the_bijectivity_cross_check(monkeypatch):
@@ -207,6 +231,6 @@ def test_sliced_matches_scalar_property():
         bounds = [0, *sorted(cuts), n]
         mu = PartitionedOrder(n, [order[a:b] for a, b in zip(bounds, bounds[1:])])
         expected = tuple(oracles.substep_image(f, mu, x) for x in range(1 << n))
-        assert transition_graph(f, mu).successors == expected
+        assert tuple(transition_graph(f, mu).successors) == expected
 
     check()
