@@ -25,9 +25,10 @@ decomposition, of the transition graph and of a subdynamics pattern, is one
 pointer chase, ``_decompose``, into ``array('i')``: the basins, and the
 cycles as one flat array of members with an array of end offsets; the
 graph's ``cycles`` tuples are built when read.  The exports, ``dot_lines``
-and ``json_lines``, yield their text lazily, one edge or one cycle at a
-time, and name the configurations a chunk at a time, so no export holds a
-name for every configuration or is built as one string.  Everything
+and ``json_lines``, yield their text lazily, one edge or at most 1,024
+members of a cycle at a time, and name the configurations a chunk at a
+time, so no export holds a name for every configuration or is built as one
+string.  Everything
 here is exact and exhaustive, guarded by explicit resource caps.  The
 ``cap`` keyword bounds the substeps one step may expand to (``None`` for no
 cap).  Module constants, read at each call, bound the rest:
@@ -603,8 +604,8 @@ def _with_commas(pieces: Iterable[str]) -> Iterator[str]:
 
 def json_lines(graph: DynamicsGraph) -> Iterator[str]:
     """The lines of ``json.dumps(graph_json(graph), indent=2)``, without
-    newlines, lazily: the lines of one edge, or of one cycle's members, come
-    as one piece."""
+    newlines, lazily: the lines of one edge, or of at most 1,024 of a
+    cycle's members, come as one piece."""
     n, ends = graph.n, graph._ends
     lengths = list(map(sub, ends, chain([0], ends)))
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
@@ -614,11 +615,11 @@ def json_lines(graph: DynamicsGraph) -> Iterator[str]:
     yield from _with_commas(f"      {lengths[k]}" for k in order)
     yield '    ],\n    "members": ['
     yield from _with_commas(
-        '      [\n        "'
-        + format_configs(graph._members[ends[k] - lengths[k]:ends[k]], n)
+        "      [\n" * (at == ends[k] - lengths[k])
+        + f'        "{format_configs(graph._members[at:min(at + 1024, ends[k])], n)}"'
         .replace("\n", '",\n        "')
-        + '"\n      ]'
-        for k in order
+        + "\n      ]" * (at + 1024 >= ends[k])
+        for k in order for at in range(ends[k] - lengths[k], ends[k], 1024)
     )
     yield "    ]\n  }\n}"
 

@@ -28,24 +28,37 @@ indices, and its filling digit is innermost; any other matrix's filling
 follows its members.  A schedule concatenates one piece per matrix,
 smallest part size first, which is the canonical o-block order.
 
-:func:`_walk` yields ``(block, labels)``.  The innermost filling digits, at
-most ``_MATERIALIZE_LIMIT`` lines, are the block, written over the indices;
-each choice of the outer digits labels the indices.  An outer filling's
-labels take its matrix's indices row by row.  The digit next out may split
-and put a head of its matrix's labels outer: a prefix of a one-row matrix
-(the block then holds the permutations of the positions left, which the
-labels left, ascending, turn into the prefix's permutations in order), or,
-for a partition's only matrix, its first column (for ``bp``, the row holding
-0, whose place among the other rows depends on the labels, so each head
-picks its groups from a table).  A block is a tuple of groups, each the
-product of its factors, which are lists of pieces of rows.
+:func:`_walk` yields ``(block, remaps, labels)``.  The innermost filling
+digits, at most ``_MATERIALIZE_LIMIT`` lines, are the block, written over
+the indices; each choice of the outer digits labels the indices.  An outer
+filling's labels take its matrix's indices row by row.  The digit next out
+may split and put a head of its matrix's labels outer: a prefix of a
+one-row matrix (the block then holds the permutations of the positions
+left, which the labels left, ascending, turn into the prefix's permutations
+in order), or, for a partition's only matrix, its first column; for ``bp``,
+the row holding the least label of the largest matrix, when its fillings
+are too many to template and the block's other matrices have one filling
+each.  That row's place among the other rows depends on the labels, so
+each head picks its groups from a table.  A block is a tuple of groups,
+each the product of its factors, which are lists of pieces of rows or
+:class:`~blockpar.blocktext.OneRow` factors.
+
+The cut between the block and the outer digits then moves out while the
+block stays small: a choice of members is an increasing relabelling of the
+indices, so the innermost choices (and the heads of a partition's only
+matrix) join the block as ``remaps``, one permutation of its indices each,
+while the block holds fewer than 64 lines or at most ``_BLOCK_LINES``; a
+``bp`` partition's only matrix with at most that many fillings fills inside
+it.  The digit order, and so the stream, stays as the plan sets it.
 
 Text and rows are two views of the walk.  :func:`class_chunks` renders each
 group once with every index as placeholder bytes, one per decimal place of
-``n - 1``, from the bytes schedule text never holds; each block is then one
-``bytes.translate`` that writes its labels' digits and deletes the places a
-shorter label leaves empty.  :func:`enum_class` relabels each factor, once
-per change of the labels it reads, and concatenates the pieces.  Past 100
+``n - 1``, from the bytes schedule text never holds
+(:mod:`blockpar.blocktext`), and each remap with one ``bytes.translate``;
+each block is then one more ``bytes.translate`` that writes its labels'
+digits and deletes the places a shorter label leaves empty.
+:func:`enum_class` relabels each factor, once per change of the labels it
+reads (each remap composed into them), and concatenates the pieces.  Past 100
 automata the placeholders run out, and the text is the rows view passed
 through :func:`~blockpar.schedule.format_oblocks`.  :func:`class_lines` is a
 line view of the chunks, and :func:`class_count` counts their newlines.
@@ -64,12 +77,15 @@ import sys
 from bisect import bisect_left
 from functools import partial
 from itertools import (
-    accumulate, chain, combinations, compress, filterfalse, permutations, product, repeat, starmap,
+    accumulate, chain, combinations, filterfalse, permutations, repeat, starmap,
 )
 from math import comb, factorial, gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
+from .blocktext import OneRow, renderer
+# The one-row filler and the placeholder check keep their names here too.
+from .blocktext import one_row as _one_row, placeholders as _placeholders  # noqa: F401
 from .errors import ResourceCapError
 from .partitions import Partition, partitions_of
 from .schedule import (
@@ -84,6 +100,8 @@ from .schedule import (
 #: Most fillings of one matrix held as templates, and most lines of a block;
 #: bigger matrices fill outside the block, so early consumers never stall.
 _MATERIALIZE_LIMIT = 1 << 17
+#: Most lines of a block that takes member choices in; it decides no order.
+_BLOCK_LINES = 1 << 12
 
 
 def min_column_budgets(p: Partition) -> dict[int, int]:
@@ -180,24 +198,6 @@ def _fill_count(kind: str, j: int, m: int, budget: int) -> int:
     return total * budget // j
 
 
-def _one_row(labels: tuple, budget: int) -> Iterator[tuple]:
-    """The fillings of a one-row matrix holding ``labels``, written in
-    ascending order, as that row: the permutations of ``labels`` in
-    lexicographic order of positions whose first label, the matrix minimum,
-    lies within the first ``budget`` positions.
-
-    These are the rows :func:`_fill_rows` and :func:`_fill_columns_shifted`
-    give for ``m = 1``, in their order, built by ``itertools`` without a
-    generator per column.
-    """
-    if budget >= len(labels):
-        return permutations(labels)
-    first, rest = labels[:1], labels[1:]
-    leads = (map((lead,).__add__, _one_row(first + rest[:i] + rest[i + 1:], budget - 1))
-             for i, lead in enumerate(rest)) if budget > 1 else ()
-    return chain(map(first.__add__, permutations(rest)), chain.from_iterable(leads))
-
-
 def _group(items: Iterable) -> tuple:
     """A group's factors from ``items`` in line order: factors, lists or
     one-pass iterators of pieces, and fixed pieces, tuples of rows, each run
@@ -211,9 +211,9 @@ def _group(items: Iterable) -> tuple:
     return tuple([item] if isinstance(item, tuple) else item for item in group)
 
 
-def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-    """``(block, labels)`` for each block of ``p``'s members of class
-    ``kind``, in stream order; the module docstring describes both."""
+def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple, tuple[int, ...]]]:
+    """``(block, remaps, labels)`` for each block of ``p``'s members of
+    class ``kind``, in stream order; the module docstring describes them."""
     sizes = [(j, p.m(j)) for j in p.part_sizes()]
     budgets = min_column_budgets(p) if kind == CLASS_BP_STAR else {j: j for j, _ in sizes}
     last = len(sizes) - 1
@@ -226,8 +226,11 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
     # choose matrix k's members, fill it, or both.
     plan = [(k, True, not templated[k]) for k in range(last)] + [(last, False, True)]
     plan += [(k, False, True) for k in reversed(range(last)) if templated[k]]
+    # A partition's only matrix fills inside a block of at most
+    # ``_BLOCK_LINES`` lines, unless its columns split into heads (below).
     lines, inside = 1, set()
-    while last and not plan[-1][1] and lines * counts[plan[-1][0]] <= limit:
+    small = _BLOCK_LINES if kind == CLASS_BP or sizes[0][1] == 1 else 0
+    while plan and not plan[-1][1] and lines * counts[plan[-1][0]] <= (limit if last else small):
         k = plan.pop()[0]
         inside.add(k)
         lines *= counts[k]
@@ -237,7 +240,7 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
         rows in canonical order."""
         j, m = sizes[k]
         if m == 1:
-            return zip(_one_row(labels, budgets[j]))
+            return OneRow((), labels, budgets[j])
         if kind == CLASS_BP:
             return map(tuple, map(sorted, _fill_rows(labels, j, m)))
         return _fill_columns_shifted(labels, j, m, budgets[j])
@@ -259,7 +262,7 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
 
     # A split puts a head of matrix x's labels outer: ``width`` labels, the
     # minimum within the first ``reach`` of them unless ``reach`` is 0.
-    x, _, split = plan[-1]
+    x, _, split = plan[-1] if plan else (0, False, False)
     j, m = sizes[x]
     budget = budgets[j]
     reach = budget if budget < j else 0
@@ -273,35 +276,38 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
         # that prefix's permutations in order.
         width = j - tail
         prefix = tuple(range(starts[x], starts[x] + width))
-        pieces[x] = ((prefix + perm,)
-                     for perm in permutations(range(prefix[-1] + 1, starts[x + 1])))
-    elif not last and j > 1 and m > 1 and kind != CLASS_BP and _fill_count(
+        pieces[x] = OneRow(prefix, tuple(range(prefix[-1] + 1, starts[x + 1])), tail)
+    elif split and not last and j > 1 and m > 1 and kind != CLASS_BP and _fill_count(
             CLASS_BP0, j - 1, m, j - 1) <= limit:
         # The head is the first column; the other columns, always free, are
         # the block.
         width = m
         pieces[x] = (tuple((i,) + row for i, row in enumerate(rows))
                      for rows in _fill_columns_shifted(tuple(range(m, n)), j - 1, m, j - 1))
-    elif not last and j > 1 and m > 1 and kind == CLASS_BP and _fill_count(
-            CLASS_BP, j, m - 1, j) * factorial(j) * m <= limit:
-        # The head is the row holding 0.  :func:`_fill_rows` fills the other
-        # rows, then permutes that row innermost; where the row goes among
-        # the others depends on the labels of its first member and of
-        # theirs, so each head picks one group per other rows' filling and
-        # first member.
+    elif (split and not x and j > 1 and m > 1 and kind == CLASS_BP
+          and all(counts[k] == 1 for k in inside)
+          and _fill_count(CLASS_BP, j, m - 1, j) * factorial(j) * m <= limit):
+        # The head is the row holding the largest matrix's least label.
+        # :func:`_fill_rows` fills the other rows, then permutes that row
+        # innermost; where the row goes among the others depends on the
+        # labels of its first member and of theirs, so each head picks one
+        # group per other rows' filling and first member.  The block's
+        # other matrices have one filling each, so the picks keep the order.
         width, reach = j, 1
-        others = [tuple(sorted(rows)) for rows in _fill_rows(tuple(range(j, n)), j, m - 1)]
+        others = [tuple(sorted(rows)) for rows in _fill_rows(tuple(range(j, j * m)), j, m - 1)]
         firsts = [[row[0] - j for row in rows] for rows in others]
         perms = [(perm,) for perm in permutations(range(j))]
         run = len(perms) // j
-        table = [[[_group(item for item in (rows[:at], perms[lead * run:(lead + 1) * run],
+        fixed = [list(pieces[k]) if k in inside else pieces[k] for k in range(last, 0, -1)]
+        table = [[[_group(item for item in (*fixed, rows[:at], perms[lead * run:(lead + 1) * run],
                                             rows[at:]) if item)
                    for at in range(m)] for lead in range(j)] for rows in others]
 
         def pick(labels: tuple[int, ...]) -> list:
-            # Label ``row[lead] - lead`` has that many labels of the other
-            # rows below it.
-            return [groups[lead][bisect_left(first, label - lead)]
+            # The label of ``row[lead]`` has ``rank - lead`` labels of the
+            # other rows below it, ``rank`` its place among the matrix's.
+            ranks = sorted(labels)
+            return [groups[lead][bisect_left(first, bisect_left(ranks, label) - lead)]
                     for groups, first in zip(table, firsts)
                     for lead, label in enumerate(labels[:j])]
 
@@ -324,7 +330,27 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
         block = (_group(pieces[k] for k in order),)
     assign = [tuple(range(starts[k], starts[k + 1])) for k in range(last + 1)]
 
-    def walk(d: int, remaining: tuple[int, ...]) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    # A choice of members is an increasing relabelling of the indices, so
+    # the innermost choices join the block, as remaps of its indices in the
+    # filler's order, while it holds fewer than 64 lines or would hold at
+    # most ``_BLOCK_LINES``.  The last matrix's labels are then all the
+    # members left, ascending.
+    # ``remaps`` holds one list per digit taken in, outermost first.
+    remaps = []
+    if width and pick is None and not last and counts[0] <= _BLOCK_LINES:
+        # So do the heads of a partition's only matrix: each is the labels.
+        plan.pop()
+        remaps = [list(heads(tuple(range(n))))]
+    while (not width and plan and plan[-1][1] and not plan[-1][2] and (lines < 64 or lines * comb(
+            n - starts[plan[-1][0]], len(assign[plan[-1][0]])) <= _BLOCK_LINES)):
+        k = plan.pop()[0]
+        pool = tuple(range(starts[k], n))
+        lines *= comb(len(pool), len(assign[k]))
+        remaps.insert(0, [(*range(starts[k]), *chosen, *_without(pool, chosen))
+                          for chosen in combinations(pool, len(assign[k]))])
+        assign[k], assign[last] = (), pool
+
+    def walk(d: int, remaining: tuple[int, ...]) -> Iterator[tuple[tuple, tuple, tuple]]:
         k, chooses, fill = plan[d]
         held = assign[k]
         leaf = d + 1 == len(plan)
@@ -334,14 +360,14 @@ def _walk(n: int, p: Partition, kind: str) -> Iterator[tuple[tuple, tuple[int, .
             for labels in choose[k](chosen) if fill else (chosen,):
                 assign[k] = labels
                 if leaf:
-                    yield (block if pick is None else pick(labels),
+                    yield (block if pick is None else pick(labels), remaps,
                            tuple(chain.from_iterable(assign)))
                 else:
                     yield from walk(d + 1, rest if chooses else remaining)
         assign[k] = held
 
     try:
-        yield from walk(0, tuple(range(n)))
+        yield from walk(0, tuple(range(n))) if plan else [(block, remaps, assign[last])]
     except RecursionError:
         raise ResourceCapError(
             f"the {kind} stream of a partition of {n} nests deeper than"
@@ -386,71 +412,26 @@ def _rows(n: int, p: Partition, kind: str) -> Iterator[tuple]:
             entry[4:] = reads(labels), done
         return done
 
-    return chain.from_iterable(_joined([relabelled(factor, labels) for factor in group])
-                               for block, labels in _walk(n, p, kind) for group in block)
+    def remapped(remaps: list, labels: tuple[int, ...]) -> list:
+        # Each remap's labels, outer digits first: ``labels[sigma[i]]``.
+        labelled = [labels]
+        for level in remaps:
+            labelled = [tuple(map(outer.__getitem__, sigma)) for outer in labelled
+                        for sigma in level]
+        return labelled
 
-
-# ---------------------------------------------------------------------------
-# Schedule text a block at a time
-
-def _placeholders(n: int):
-    """Placeholder bytes for the indices ``0 .. n-1`` of a block of text, and
-    the function that relabels such a block; ``None`` if they do not fit.
-
-    An index takes one placeholder byte per decimal place of ``n - 1``, from
-    the bytes schedule text never holds.  ``relabel(block, labels)`` is one
-    ``bytes.translate``: it writes the digits of ``labels[k]`` into the
-    places of index ``k`` and deletes the leading places that a label with
-    fewer digits leaves empty.
-    """
-    alphabet = bytes(sorted(set(range(256)).difference(b"[],0123456789\n")))
-    width = len(str(n - 1))
-    if width * n > len(alphabet):
-        return None
-    places = [alphabet[i * n:(i + 1) * n] for i in range(width)]
-    slots = [bytes(place[k] for place in places) for k in range(n)]
-    numerals = [str(label).rjust(width) for label in range(n)]
-    padding = bytes(256 - n)
-    digits = [bytes(ord(numeral[i]) for numeral in numerals) + padding
-              for i in range(width)]
-    blanks = [bytes(numeral[i] == " " for numeral in numerals) + padding
-              for i in range(width - 1)]
-    source = b"".join(places)
-
-    def relabel(block: bytes, labels: tuple[int, ...]) -> bytes:
-        key = bytes(labels)
-        table = bytes.maketrans(source, b"".join([key.translate(d) for d in digits]))
-        empty = b"".join([bytes(compress(place, key.translate(blank)))
-                          for place, blank in zip(places, blanks)])
-        return block.translate(table, empty)
-
-    return slots, relabel
+    return chain.from_iterable(
+        _joined([relabelled(factor, labels) for factor in group])
+        for block, remaps, outer in _walk(n, p, kind)
+        for labels in remapped(remaps, outer) for group in block)
 
 
 def _text_chunks(n: int, p: Partition, kind: str) -> Iterator[bytes]:
     """The text of ``p``'s members, one chunk per block of :func:`_walk`
     (per line past 100 automata)."""
-    marks = _placeholders(n)
-    if marks is None:
+    render = renderer(n)
+    if render is None:
         return (f"{format_oblocks(rows)}\n".encode() for rows in _rows(n, p, kind))
-    slots, relabel = marks
-    texts: dict = {}
-
-    def text(group: tuple) -> bytes:
-        """The group's lines with placeholders, kept for the next block."""
-        seps = chain([b"[["], repeat(b"],["))
-        parts = [[sep + b"],[".join([b",".join(map(slots.__getitem__, row)) for row in piece])
-                  for piece in factor] for sep, factor in zip(seps, group)]
-        texts[id(group)] = b"".join(map(b"".join, product(*parts, [b"]]\n"])))
-        return texts[id(group)]
-
-    held = [None, b""]
-
-    def render(block: tuple, labels: tuple[int, ...]) -> bytes:
-        if block is not held[0]:
-            held[:] = block, b"".join([texts.get(id(group)) or text(group) for group in block])
-        return relabel(held[1], labels)
-
     return starmap(render, _walk(n, p, kind))
 
 

@@ -183,9 +183,13 @@ def test_prefix_bytes_pinned(capsysbinary, kind, parts, limit):
 
 #: Prefixes at two-digit labels: several part sizes, one size with two or
 #: more rows, and a one-row matrix too large to template, which streams.
+#: In ``bp``, the (5,5) matrix of 1+5+5 and 1+1+5+5 splits off the row
+#: holding its least label, 14,400 lines a head; in 2+5+5 the 2-row varies
+#: inside it, so it does not split.
 TWO_DIGIT = [("11", "1+2+3+5", 3000), ("11", "2+9", 3000), ("11", "1+1+1+4+4", 3000),
              ("12", "4+4+4", 20000), ("12", "6+6", 3000), ("12", "2+2+2+2+2+2", 3000),
-             ("12", "3+9", 3000), ("12", "2+3+3+4", 3000)]
+             ("12", "3+9", 3000), ("12", "2+3+3+4", 3000), ("11", "1+5+5", 20000),
+             ("12", "2+5+5", 3000), ("12", "1+1+5+5", 20000)]
 
 
 @pytest.mark.parametrize("kind", CLASSES)
@@ -211,6 +215,17 @@ def test_two_digit_first_row_blocks(capsys, monkeypatch):
     assert main(argv) == EXIT_OK
     expected = list(islice(oracles.template_stream(12, p, "bp"), 70000))
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+def test_blocks_hold_64_lines_or_the_whole_partition(kind):
+    # Blocks of one partition hold equally many lines, so the first block
+    # is the average; under 64 lines a block costs more than its lines.
+    for n in range(1, 12):
+        for p in partitions_of(n):
+            chunks = enumeration._text_chunks(n, p, kind)
+            first = next(chunks)
+            assert next(chunks, None) is None or first.count(b"\n") >= 64, (n, p.label())
 
 
 @pytest.mark.parametrize("kind", CLASSES)

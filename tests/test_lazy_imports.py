@@ -51,10 +51,13 @@ print(status, before, sorted(m for m in watch if m in sys.modules))
 def _probe(code: str) -> str:
     """The stdout of ``code`` in a clean interpreter: ``-I`` ignores
     ``PYTHONPATH`` and the user's site, ``-S`` skips ``site`` (which loads
-    modules of its own), and the probe puts this package on ``sys.path``."""
+    modules of its own), ``-B`` writes no bytecode (``-I`` also ignores
+    ``PYTHONDONTWRITEBYTECODE``), and the probe puts this package on
+    ``sys.path``."""
     source = str(Path(blockpar.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", f"import sys; sys.path.insert(0, {source!r})\n" + code],
+        [sys.executable, "-I", "-S", "-B", "-c",
+         f"import sys; sys.path.insert(0, {source!r})\n" + code],
         capture_output=True, text=True, check=True,
     )
     return result.stdout
