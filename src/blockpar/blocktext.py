@@ -6,15 +6,18 @@ of pieces of rows of indices, or :class:`OneRow` factors.  The text of a
 group is built once, over placeholders for its indices, with no object per
 line: a factor's pieces are laid out a column of indices at a time into a
 ``bytearray``, a one-row factor is the permutations of a shorter row moved
-up past each first index by ``bytes.translate``, and the product folds from
-its last factor, each piece of a factor written before every line of the
-factors after it by one ``bytes.replace``.  A block's remaps, member
-choices taken into the block, are one ``bytes.translate`` each, and each
-choice of the outer digits relabels the whole block with one more.
+up past each first index by ``bytes.translate`` (kept for the partitions of
+one ``n``), and the product folds from its last factor, each piece of a
+factor written before every line of the factors after it by one
+``bytes.replace``, or all pieces at once before a single line.  A block's
+remaps, member choices taken into the block, are one ``bytes.translate``
+each, and each choice of the outer digits relabels the whole block with
+one more.
 """
 
 from __future__ import annotations
 
+from functools import cache, lru_cache
 from itertools import chain, compress, permutations, repeat
 from typing import Iterator
 
@@ -50,9 +53,11 @@ class OneRow:
         return zip(map(self.head.__add__, one_row(self.labels, self.budget)))
 
 
+@cache
 def placeholders(n: int):
     """``(slots, moves, relabel, remap)`` for the indices ``0 .. n-1`` of a
-    block of text; ``None`` if their placeholders do not fit.
+    block of text; ``None`` if their placeholders do not fit.  Each ``n``'s
+    are made once, for all of its partitions.
 
     An index takes one placeholder byte per decimal place of ``n - 1``, from
     the bytes schedule text never holds: ``slots[k]`` is a comma and index
@@ -78,18 +83,44 @@ def placeholders(n: int):
     source = b"".join(places)
     moves = [place + padding for place in places]
 
+    # One place, the common case, takes one ``translate`` of the key.
+    maketrans, (digit, *_), (move, *_) = bytes.maketrans, digits, moves
+
     def relabel(block: bytes, labels: tuple[int, ...]) -> bytes:
         key = bytes(labels)
-        table = bytes.maketrans(source, b"".join([key.translate(d) for d in digits]))
+        if width == 1:
+            return block.translate(maketrans(source, key.translate(digit)))
+        table = maketrans(source, b"".join([key.translate(d) for d in digits]))
         empty = b"".join([bytes(compress(place, key.translate(blank)))
                           for place, blank in zip(places, blanks)])
         return block.translate(table, empty)
 
     def remap(block: bytes, sigma: tuple[int, ...]) -> bytes:
         key = bytes(sigma)
-        return block.translate(bytes.maketrans(source, b"".join([key.translate(m) for m in moves])))
+        if width == 1:
+            return block.translate(maketrans(source, key.translate(move)))
+        return block.translate(maketrans(source, b"".join([key.translate(m) for m in moves])))
 
     return slots, moves, relabel, remap
+
+
+def _before(head: bytes, lines: bytes) -> bytes:
+    """``lines`` with ``head`` written before each."""
+    return head + lines.replace(b"\n", b"\n" + head)[:-len(head)]
+
+
+@lru_cache(maxsize=8)
+def _permuted(n: int, k: int) -> bytes:
+    """The permutations of the indices below ``k`` of ``n``, in
+    lexicographic order, each a row: the permutations of one index fewer,
+    moved up past each first index in turn.  Kept for the partitions of one
+    ``n``."""
+    slots, _, _, remap = placeholders(n)
+    if k == 1:
+        return slots[0][1:] + b"\n"
+    shorter = _permuted(n, k - 1)
+    moved = [remap(shorter, (*range(i), *range(i + 1, n + 1))) for i in range(k)]
+    return b"".join([_before(slots[i][1:] + b",", lines) for i, lines in enumerate(moved)])
 
 
 def renderer(n: int):
@@ -104,29 +135,14 @@ def renderer(n: int):
         return None
     slots, moves, relabel, remap = marks
     texts: dict = {}
-    perms = {1: slots[0][1:] + b"\n"}
-
-    def before(head: bytes, lines: bytes) -> bytes:
-        """``lines`` with ``head`` written before each."""
-        return head + lines.replace(b"\n", b"\n" + head)[:-len(head)]
 
     def lead(label: int, lines: bytes) -> bytes:
-        return before(slots[label][1:] + b",", lines)
-
-    def permuted(k: int) -> bytes:
-        """The permutations of the indices below ``k``, in lexicographic
-        order, each a row: the permutations of one index fewer, moved up
-        past each first index in turn."""
-        if k not in perms:
-            shorter = permuted(k - 1)
-            perms[k] = b"".join([lead(i, remap(shorter, (*range(i), *range(i + 1, n + 1))))
-                                 for i in range(k)])
-        return perms[k]
+        return _before(slots[label][1:] + b",", lines)
 
     def row(labels: tuple, budget: int) -> bytes:
-        """The rows of ``_one_row(labels, budget)``, by its recursion."""
+        """The rows of ``one_row(labels, budget)``, by its recursion."""
         if budget >= len(labels):
-            return remap(permuted(len(labels)), (*labels, *bytes(n - len(labels))))
+            return remap(_permuted(n, len(labels)), (*labels, *bytes(n - len(labels))))
         first, rest = labels[:1], labels[1:]
         parts = [lead(first[0], row(rest, len(rest)))]
         if budget > 1:
@@ -141,7 +157,7 @@ def renderer(n: int):
             body = row(factor.labels, factor.budget)
             for label in reversed(factor.head):
                 body = lead(label, body)
-            return before(sep, body)
+            return _before(sep, body)
         pieces = list(factor)
         if len(pieces) == 1:
             return sep + b"],[".join([b"".join(map(slots.__getitem__, row))[1:]
@@ -173,7 +189,12 @@ def renderer(n: int):
         *heads, lines = [layout(factor, sep) for sep, factor in zip(seps, factors)]
         lines = lines.replace(b"\n", b"]]\n")
         for head in reversed(heads):
-            lines = b"".join([before(piece, lines) for piece in bytes(head).split(b"\n")[:-1]])
+            if lines.count(b"\n") == 1:
+                # One line after each piece: it takes the piece's newline.
+                lines = bytes(head).replace(b"\n", lines)
+            else:
+                pieces = bytes(head).split(b"\n")[:-1]
+                lines = b"".join([_before(piece, lines) for piece in pieces])
         texts[id(group)] = bytes(lines)
         return texts[id(group)]
 

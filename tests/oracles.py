@@ -15,7 +15,7 @@ from itertools import chain, combinations, permutations, repeat
 from operator import methodcaller
 from typing import Optional
 
-from blockpar import counting, enumeration, phi, update_block
+from blockpar import blocktext, counting, enumeration, phi, update_block
 from blockpar.partitions import Partition, partitions_of
 
 
@@ -257,7 +257,7 @@ def _text_piece(rows, opens: bool, closes: bool) -> str:
 
 
 def _text_row(labels, budget: int, opens: bool, closes: bool):
-    rows = map(",".join, enumeration._one_row(tuple(map(str, labels)), budget))
+    rows = map(",".join, blocktext.one_row(tuple(map(str, labels)), budget))
     return map("".join, zip(repeat("[[" if opens else ",["), rows,
                             repeat("]]" if closes else "]")))
 

@@ -13,10 +13,11 @@ over part sizes.
 import hashlib
 from functools import lru_cache
 from itertools import islice, zip_longest
+from math import prod
 
 import pytest
 
-from blockpar import enumeration
+from blockpar import blocktext, enumeration
 from blockpar.cli import EXIT_OK, main
 from blockpar.counting import count_bp, count_bp0, count_bp_star
 from blockpar.enumeration import CLASSES, class_lines, enum_class
@@ -229,13 +230,25 @@ def test_blocks_hold_64_lines_or_the_whole_partition(kind):
 
 
 @pytest.mark.parametrize("kind", CLASSES)
+@pytest.mark.parametrize("parts", [(4,) + (1,) * 36, (3, 3) + (1,) * 34, (2, 2) + (1,) * 36])
+def test_member_choices_keep_blocks_within_the_materialize_limit(kind, parts):
+    # Few lines a block let member choices in only up to the limit: 24
+    # fillings of (4,1) over comb(40, 4) choices would be 2,193,360 lines.
+    p = Partition.from_parts(parts)
+    render = blocktext.renderer(p.n)
+    for block, remaps, labels in islice(enumeration._walk(p.n, p, kind), 3):
+        lines = render(block, [], labels).count(b"\n")
+        assert lines * prod(map(len, remaps)) <= enumeration._MATERIALIZE_LIMIT
+
+
+@pytest.mark.parametrize("kind", CLASSES)
 @pytest.mark.parametrize("n", [100, 101])
 def test_placeholder_alphabet_edge(kind, n):
     # 100 automata take two placeholder bytes each; 101 would take three,
     # more than the 242 bytes schedule text never holds, so that text is
     # the rows of enum_class, formatted.
     p = Partition.from_parts((1,) * (n - 2) + (2,))
-    assert (enumeration._placeholders(n) is None) == (n == 101)
+    assert (blocktext.placeholders(n) is None) == (n == 101)
     lines = islice(class_lines(n, kind, p), 300)
     assert list(lines) == list(islice(oracles.template_stream(n, p, kind), 300))
 
@@ -246,8 +259,8 @@ def test_one_row_is_the_column_filler_with_one_row(length):
     for budget in range(1, length + 1):
         expected = [rows[0] for rows in
                     enumeration._fill_columns_shifted(labels, length, 1, budget)]
-        assert list(enumeration._one_row(labels, budget)) == expected
-    assert list(enumeration._one_row(labels, length)) \
+        assert list(blocktext.one_row(labels, budget)) == expected
+    assert list(blocktext.one_row(labels, length)) \
         == [rows[0] for rows in enumeration._fill_rows(labels, length, 1)]
 
 
