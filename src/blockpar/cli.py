@@ -1,11 +1,13 @@
 """Command-line interface: counting tables, enumeration streams, simulation,
 analysis, gadget generation, and a benchmark harness.
 
-Decision answers are printed as ``true``/``false`` on stdout; exit codes only
-distinguish *how* a command ended: 0 completed (also when the reader closes
-stdout early), 2 usage error, 3 missing input file, 4 malformed input or an
-output file that cannot be written, 5 resource cap exceeded, 6 internal error
-(a failed cross-check or any other unexpected exception: always a bug).
+Every command's output leaves through :func:`_write`, as bytes, to the
+``--out`` file or to stdout; only messages go to stderr.  Decision answers
+are written as ``true``/``false``; exit codes only distinguish *how* a
+command ended: 0 completed (also when the reader closes stdout early),
+2 usage error, 3 missing input file, 4 malformed input or an output file that
+cannot be written, 5 resource cap exceeded, 6 internal error (a failed
+cross-check or any other unexpected exception: always a bug).
 
 Each command imports the modules it runs on, so a command loads no module
 it does not use: ``enum`` and ``count`` never load the network code, and
@@ -18,9 +20,9 @@ import argparse
 import os
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import closing, nullcontext
 from itertools import chain, islice
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional
 
 from .errors import BlockparError, CrossCheckError, ResourceCapError, ScheduleFormatError
 
@@ -35,10 +37,10 @@ EXIT_BAD_INPUT = 4
 EXIT_RESOURCE_CAP = 5
 EXIT_INTERNAL = 6
 
-#: Pieces joined into one ``write`` call by :func:`_write_chunks`.  Under
-#: ``PYTHONUNBUFFERED=1`` every ``write`` is a system call, so writing line
-#: by line costs one call per line; a chunk bounds both the calls and the
-#: memory held.
+#: Lines :func:`_write` joins at least into one ``write`` call, and lines a
+#: chunk of the exports and the trace.  Under ``PYTHONUNBUFFERED=1`` every
+#: ``write`` is a system call, so writing line by line costs one call per
+#: line; a chunk bounds both the calls and the memory held.
 WRITE_CHUNK = 1024
 
 #: ``enum`` and ``dynamics`` parse ``--threads`` and start no process: one
@@ -101,71 +103,60 @@ def _load_schedule(source: str, n: Optional[int] = None) -> PartitionedOrder:
     return parse_schedule(text, n=n)
 
 
-def _open_output(path: str, binary: bool = False):
-    """``path`` opened for writing.  A path that cannot be opened is bad
+def _open_output(path: str) -> BinaryIO:
+    """``path`` opened for writing bytes.  A path that cannot be opened is bad
     input, also in a missing directory: only a missing input exits 3."""
     try:
-        return open(path, "wb" if binary else "w", encoding=None if binary else "utf-8")
+        return open(path, "wb")
     except FileNotFoundError as exc:
         raise BlockparError(str(exc)) from exc
 
 
-@contextmanager
-def _out_stream(args, binary: bool = False) -> Iterator:
-    """The command's output: the ``--out`` file, closed afterwards, or stdout;
-    with ``binary``, their bytes layers."""
-    if getattr(args, "out", None):
-        with _open_output(args.out, binary) as handle:
-            yield handle
-    elif binary:
-        sys.stdout.flush()
-        yield sys.stdout.buffer
-    else:
-        yield sys.stdout
-
-
-def _write_chunks(stream: TextIO, pieces: Iterable[str], end: str = "") -> int:
-    """Write ``pieces``, each followed by ``end``, joining up to
-    ``WRITE_CHUNK`` of them into one ``write``; return how many were written."""
-    pieces = iter(pieces)
-    written = 0
-    while chunk := list(islice(pieces, WRITE_CHUNK)):
-        stream.write(end.join(chunk) + end)
-        written += len(chunk)
-    return written
-
-
-def _write_lines(stream: BinaryIO, chunks: Iterable[bytes], limit: Optional[int] = None
-                 ) -> int:
-    """Write the newline-terminated lines of ``chunks``, up to ``limit`` of
-    them, joining chunks until a ``write`` holds at least ``WRITE_CHUNK``
-    lines; return how many were written."""
+def _write(args, chunks: Iterable[str | bytes], limit: Optional[int] = None) -> int:
+    """Write ``chunks``, text or bytes, to the ``--out`` file or stdout, up to
+    the ``limit``-th newline, joining chunks until a ``write`` holds at least
+    ``WRITE_CHUNK`` lines; return how many lines were written."""
+    out = getattr(args, "out", None)
+    sys.stdout.flush()
     left = sys.maxsize if limit is None else limit
     written = held = 0
     pending: list[bytes] = []
-    for chunk in chunks:
-        lines = chunk.count(b"\n")
-        if lines >= left - held:
-            keep = left - held
-            pending.append(chunk[:len(chunk) - len(chunk.split(b"\n", keep)[-1])])
-            held += keep
-            break
-        pending.append(chunk)
-        held += lines
-        if held >= WRITE_CHUNK:
-            stream.write(b"".join(pending))
-            written, left, held, pending = written + held, left - held, 0, []
-    if held:
-        stream.write(b"".join(pending))
+    with _open_output(out) if out else nullcontext(sys.stdout.buffer) as stream:
+        for chunk in chunks:
+            if isinstance(chunk, str):
+                chunk = chunk.encode()
+            lines = chunk.count(b"\n")
+            if lines >= left - held:
+                keep = left - held
+                pending.append(chunk[:len(chunk) - len(chunk.split(b"\n", keep)[-1])])
+                held += keep
+                break
+            pending.append(chunk)
+            held += lines
+            if held >= WRITE_CHUNK:
+                stream.write(b"".join(pending))
+                written, left, held, pending = written + held, left - held, 0, []
+            # Let go of this chunk before the next is made, so that a
+            # producer building its chunk whole never holds two at once.
+            del chunk
+        if tail := b"".join(pending):
+            stream.write(tail)
     return written + held
 
 
-def _write_json(stream: TextIO, document) -> None:
-    """``document`` as indented JSON and a newline, streamed in chunks."""
+def _json_chunks(document) -> Iterator[str]:
+    """``document`` as indented JSON and a newline, in the encoder's pieces."""
     import json
 
-    encoder = json.JSONEncoder(indent=2)
-    _write_chunks(stream, chain(encoder.iterencode(document), ["\n"]))
+    return chain(json.JSONEncoder(indent=2).iterencode(document), ["\n"])
+
+
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` with their newlines, ``WRITE_CHUNK`` of them a chunk; the
+    last newline is joined in, so a chunk is not copied once more."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, WRITE_CHUNK)):
+        yield "\n".join([*chunk, ""])
 
 
 def _count_arg(low: int) -> Callable[[str], int]:
@@ -191,12 +182,11 @@ def _write_table(args, header: tuple[str, ...], rows: list[tuple]) -> None:
 
     ``None`` is JSON ``null`` and an empty CSV field.
     """
-    with _out_stream(args) as stream:
-        if args.format == "json":
-            _write_json(stream, [dict(zip(header, row)) for row in rows])
-        else:
-            lines = (",".join("" if v is None else str(v) for v in row) for row in rows)
-            _write_chunks(stream, chain([",".join(header)], lines), "\n")
+    if args.format == "json":
+        _write(args, _json_chunks([dict(zip(header, row)) for row in rows]))
+    else:
+        _write(args, (",".join("" if v is None else str(v) for v in row) + "\n"
+                      for row in chain([header], rows)))
 
 
 def cmd_count(args) -> dict:
@@ -213,8 +203,8 @@ def cmd_enum(args) -> dict:
 
     partition = None if args.partition is None else Partition.parse(args.partition)
     chunks = enumeration.class_chunks(args.n, args.klass, partition)
-    with _out_stream(args, binary=True) as stream, closing(chunks):
-        emitted = _write_lines(stream, chunks, args.limit)
+    with closing(chunks):
+        emitted = _write(args, chunks, args.limit)
     print(f"count={emitted}", file=sys.stderr)
     return {"count": emitted}
 
@@ -226,13 +216,13 @@ def cmd_step(args) -> dict:
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     x = parse_config(args.config, n=f.n)
-    image = step(f, mu, x, cap=args.cap_substeps)
-    print(format_config(image, f.n))
-    return {"image": format_config(image, f.n)}
+    image = format_config(step(f, mu, x, cap=args.cap_substeps), f.n)
+    _write(args, [image + "\n"])
+    return {"image": image}
 
 
 def cmd_trace(args) -> dict:
-    """Write the trace as the kernel runs, ``WRITE_CHUNK`` lines a ``write``,
+    """Write the trace as the kernel runs, ``WRITE_CHUNK`` lines a chunk,
     then the settled configuration's line once for each substep left."""
     from .kernel import trajectory
     from .network import format_config, format_configs, parse_config
@@ -242,14 +232,19 @@ def cmd_trace(args) -> dict:
     x = parse_config(args.config, n=f.n)
     rest, length = trajectory(f, mu, x, cap=args.cap_substeps)
     configs = chain([x], rest)
-    written = 0
-    while chunk := list(islice(configs, WRITE_CHUNK)):
-        sys.stdout.write(format_configs(chunk, f.n) + "\n")
-        written += len(chunk)
-        x = chunk[-1]
-    line = format_config(x, f.n) + "\n"
-    for left in range(length - written, 0, -WRITE_CHUNK):
-        sys.stdout.write(line * min(left, WRITE_CHUNK))
+
+    def chunks() -> Iterator[str]:
+        nonlocal x
+        written = 0
+        while chunk := list(islice(configs, WRITE_CHUNK)):
+            yield format_configs(chunk, f.n) + "\n"
+            written += len(chunk)
+            x = chunk[-1]
+        line = format_config(x, f.n) + "\n"
+        for left in range(length - written, 0, -WRITE_CHUNK):
+            yield line * min(left, WRITE_CHUNK)
+
+    _write(args, chunks())
     return {"substeps": length - 1, "image": format_config(x, f.n)}
 
 
@@ -259,17 +254,15 @@ def cmd_dynamics(args) -> dict:
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     graph = dynamics.transition_graph(f, mu, cap=args.cap_substeps)
-    with _out_stream(args) as stream:
-        if args.format == "dot":
-            _write_chunks(stream, dynamics.dot_lines(graph), "\n")
-        else:
-            _write_chunks(stream, dynamics.json_lines(graph), "\n")
+    lines = dynamics.dot_lines(graph) if args.format == "dot" else dynamics.json_lines(graph)
+    _write(args, _joined(lines))
     return {"cycles": list(graph.cycle_lengths())}
 
 
-def _answer(value: bool) -> dict:
-    print("true" if value else "false")
-    return {"answer": value}
+def _answer(args, value: bool, **shown: str) -> dict:
+    """Write ``true`` or ``false``, then each value of ``shown`` on a line."""
+    _write(args, ["true\n" if value else "false\n", *(x + "\n" for x in shown.values())])
+    return {"answer": value, **shown}
 
 
 def cmd_check(args) -> dict:
@@ -281,24 +274,19 @@ def cmd_check(args) -> dict:
     prop = args.property
     cap = args.cap_substeps
     if prop == "bijective":
-        return _answer(dynamics.is_bijective(f, mu, cap=cap))
+        return _answer(args, dynamics.is_bijective(f, mu, cap=cap))
     if prop == "identity":
-        return _answer(dynamics.is_identity(f, mu, cap=cap))
+        return _answer(args, dynamics.is_identity(f, mu, cap=cap))
     if prop == "constant":
         image = dynamics.is_constant(f, mu, cap=cap)
-        result = _answer(image is not None)
-        if image is not None:
-            print(format_config(image, f.n))
-            result["image"] = format_config(image, f.n)
-        return result
+        shown = {} if image is None else {"image": format_config(image, f.n)}
+        return _answer(args, image is not None, **shown)
     if prop == "fixed-point":
         if args.config:
             x = parse_config(args.config, n=f.n)
-            return _answer(dynamics.is_fixed_point(f, mu, x, cap=cap))
+            return _answer(args, dynamics.is_fixed_point(f, mu, x, cap=cap))
         points = dynamics.fixed_points(f, mu, cap=cap)
-        result = _answer(bool(points))
-        result["count"] = len(points)
-        return result
+        return {**_answer(args, bool(points)), "count": len(points)}
     if prop.startswith("limit-cycle:"):
         text = prop.split(":", 1)[1]
         try:
@@ -306,23 +294,20 @@ def cmd_check(args) -> dict:
         except ValueError:
             raise ScheduleFormatError(
                 f"limit-cycle:K needs an integer cycle length K, got {text!r}") from None
-        return _answer(dynamics.limit_cycle_exists(f, mu, k, cap=cap))
+        return _answer(args, dynamics.limit_cycle_exists(f, mu, k, cap=cap))
     if prop == "reach":
         if not args.config or not args.target:
             raise ScheduleFormatError("reach requires --config and --target")
         x = parse_config(args.config, n=f.n)
         y = parse_config(args.target, n=f.n)
-        return _answer(dynamics.reachable(f, mu, x, y, cap=cap))
+        return _answer(args, dynamics.reachable(f, mu, x, y, cap=cap))
     if prop == "preimage":
         if not args.target:
             raise ScheduleFormatError("preimage requires --target")
         y = parse_config(args.target, n=f.n)
         witness = dynamics.has_preimage(f, mu, y, cap=cap)
-        result = _answer(witness is not None)
-        if witness is not None:
-            print(format_config(witness, f.n))
-            result["witness"] = format_config(witness, f.n)
-        return result
+        shown = {} if witness is None else {"witness": format_config(witness, f.n)}
+        return _answer(args, witness is not None, **shown)
     if prop == "subdynamics":
         if not args.graph:
             raise ScheduleFormatError("subdynamics requires --graph")
@@ -336,7 +321,7 @@ def cmd_check(args) -> dict:
             raise ScheduleFormatError("bad subdynamics graph JSON: nested too deeply") from None
         if not isinstance(graph, dict):
             raise ScheduleFormatError("subdynamics graph must be a JSON object")
-        return _answer(dynamics.subdynamics(f, mu, graph, cap=cap))
+        return _answer(args, dynamics.subdynamics(f, mu, graph, cap=cap))
     raise ScheduleFormatError(f"unknown property {prop!r}")
 
 
@@ -367,13 +352,13 @@ def cmd_gadget(args) -> dict:
             os.remove(network_path)
             raise
         with network_file, schedule_file:
-            network_file.write(network_text)
-            schedule_file.write(schedule_text + "\n")
-        print(network_path)
-        print(schedule_path)
+            network_file.write(network_text.encode())
+            schedule_file.write(schedule_text.encode() + b"\n")
+        _write(args, [network_path + "\n", schedule_path + "\n"])
         summary["files"] = [network_path, schedule_path]
     else:
-        _write_json(sys.stdout, {"network": network_text, "schedule": schedule_text, **summary})
+        _write(args, _json_chunks({"network": network_text, "schedule": schedule_text,
+                                   **summary}))
     return summary
 
 

@@ -309,8 +309,7 @@ def count_bs_inter_bp(n: int) -> int:
     Divisor sum: for each divisor ``d`` of ``n``, the ordered partitions into
     ``d`` blocks of equal size ``n/d``.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:

@@ -616,10 +616,10 @@ def json_lines(graph: DynamicsGraph) -> Iterator[str]:
     yield '    ],\n    "members": ['
     yield from _with_commas(
         "      [\n" * (at == ends[k] - lengths[k])
-        + f'        "{format_configs(graph._members[at:min(at + 1024, ends[k])], n)}"'
+        + f'        "{format_configs(graph._members[at:min(at + _NAME_CHUNK, ends[k])], n)}"'
         .replace("\n", '",\n        "')
-        + "\n      ]" * (at + 1024 >= ends[k])
-        for k in order for at in range(ends[k] - lengths[k], ends[k], 1024)
+        + "\n      ]" * (at + _NAME_CHUNK >= ends[k])
+        for k in order for at in range(ends[k] - lengths[k], ends[k], _NAME_CHUNK)
     )
     yield "    ]\n  }\n}"
 

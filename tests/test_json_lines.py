@@ -57,3 +57,15 @@ def test_command_writes_in_bounded_chunks(monkeypatch, tmp_path):
     pieces = len(list(dynamics.json_lines(graph)))
     assert pieces > 2048
     assert stream.writes <= -(-pieces // WRITE_CHUNK) + 1
+
+
+def test_cycle_members_come_a_name_chunk_a_piece(monkeypatch):
+    # A 4-bit counter: one 16-cycle, named 4 configurations a piece.
+    counter = "x0 = !x0\nx1 = x1 ^ x0\nx2 = x2 ^ (x0 & x1)\nx3 = x3 ^ (x0 & x1 & x2)\n"
+    graph = dynamics.transition_graph(parse_network(counter), parse_schedule("[[3,2,1,0]]", n=4))
+    assert graph.cycle_lengths() == (16,)
+    monkeypatch.setattr(dynamics, "_NAME_CHUNK", 4)
+    pieces = list(dynamics.json_lines(graph))
+    assert "\n".join(pieces) == json.dumps(dynamics.graph_json(graph), indent=2)
+    members = pieces.index('    ],\n    "members": [')
+    assert len(pieces[members + 1:-1]) == 4
