@@ -1,79 +1,283 @@
-"""Schedule text of enumeration blocks, written with placeholder bytes.
+"""Enumeration blocks in bytes: the fillers' index bytes, and the schedule
+text written over placeholder bytes.
 
-:mod:`blockpar.enumeration` walks each partition's digits and hands over
-blocks: tuples of groups, each the product of its factors, which are lists
-of pieces of rows of indices, or :class:`OneRow` factors.  The text of a
-group is built once, over placeholders for its indices, with no object per
-line: a factor's pieces are laid out a column of indices at a time into a
-``bytearray``, a one-row factor is the permutations of a shorter row moved
-up past each first index by ``bytes.translate`` (kept for the partitions of
-one ``n``), and the product folds from its last factor, each piece of a
-factor written before every line of the factors after it by one
-``bytes.replace``, or all pieces at once before a single line.  A block's
-remaps, member choices taken into the block, are one ``bytes.translate``
-each, and each choice of the outer digits relabels the whole block with
-one more.
+An ``m x j`` matrix has the indices ``0 .. j*m - 1``.  A filling is a record
+of ``j*m`` index bytes, its rows in canonical order, and a run of
+consecutive fillings is their records one after another.  Fillings commute
+with increasing relabelling, so a run over indices is a template that the
+matrix's members, ascending, relabel with one ``bytes.translate``.  There is
+one filler per class family, and a one-row matrix, whose fillings are
+permutations, is a case of each:
+
+* the column filler (``bp0``, ``bpstar``) chooses each column as an
+  ascending ``m``-subset of the indices left, the minimum within the first
+  ``budget`` columns, over the template of one column fewer;
+* the row filler (``bp``) chooses the set of the row holding the minimum
+  outermost, fills the other rows over the indices left, and permutes that
+  row innermost: one ``bytes.translate`` per first member marks the gap
+  among the other rows that it falls in, and a ``bytes.replace`` writes
+  the row there.
+
+:func:`pieces` cuts the fillings into consecutive pieces: a column matrix
+keeps its first columns as a head, a tuple, over one template, and a row
+matrix cuts its runs.  A matrix past the index bytes, a column of more than
+255 rows or a ``bp`` matrix whose other rows hold more than 126 indices, is
+all head.  The heads nest one generator per column, and a ``bp`` matrix
+past the index bytes one per row; a one-row matrix's come from
+``itertools``.
+
+:mod:`blockpar.enumeration` hands over blocks ``(factors, outer)``: one
+:class:`Run` per matrix in line order, of a piece or of the matrix's
+indices as one head, and the place of the factor whose pieces are the
+block's outermost digit, if any.  A block's text is built once over
+placeholders for its indices, with no object per line: a run's indices are
+laid out a column at a time into a ``bytearray``, and the product folds from
+the right, each factor's pieces written where a mark stands in every line
+of the factors after it (:func:`spread`).  A block's remaps, member choices
+taken into it, are one ``bytes.translate`` each, and each choice of the
+outer digits relabels the whole block with one more.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache, lru_cache
-from itertools import chain, compress, permutations, repeat
+from itertools import (
+    chain, combinations, compress, cycle, filterfalse, groupby, islice, permutations, repeat,
+)
+from math import comb, factorial, prod
+from operator import itemgetter
 from typing import Iterator
 
-
-def one_row(labels: tuple, budget: int) -> Iterator[tuple]:
-    """The fillings of a one-row matrix holding ``labels``, written in
-    ascending order, as that row: the permutations of ``labels`` in
-    lexicographic order of positions whose first label, the matrix minimum,
-    lies within the first ``budget`` positions.
-
-    These are the rows the row and column fillers of :mod:`blockpar.enumeration`
-    give for ``m = 1``, in their order, built by ``itertools`` without a
-    generator per column.
-    """
-    if budget >= len(labels):
-        return permutations(labels)
-    first, rest = labels[:1], labels[1:]
-    leads = (map((lead,).__add__, one_row(first + rest[:i] + rest[i + 1:], budget - 1))
-             for i, lead in enumerate(rest)) if budget > 1 else ()
-    return chain(map(first.__add__, permutations(rest)), chain.from_iterable(leads))
+from .errors import Record
+from .schedule import CLASS_BP
 
 
-class OneRow:
-    """A one-row factor: ``head`` before each row of ``one_row(labels,
-    budget)``, as pieces; the text view writes it without them."""
+def fill_count(kind: str, j: int, m: int, budget: int) -> int:
+    """Closed-form number of fillings of one ``m x j`` matrix."""
+    if kind == CLASS_BP:
+        return factorial(j * m) // factorial(m)
+    return prod(comb(col * m, m) for col in range(1, j + 1)) * budget // j
 
-    __slots__ = ("head", "labels", "budget")
 
-    def __init__(self, head: tuple, labels: tuple, budget: int):
-        self.head, self.labels, self.budget = head, labels, budget
+def without(pool, taken) -> tuple[int, ...]:
+    return tuple(filterfalse(set(taken).__contains__, pool))
 
-    def __iter__(self) -> Iterator[tuple]:
-        return zip(map(self.head.__add__, one_row(self.labels, self.budget)))
+
+def split(data: bytes, size: int) -> list:
+    """``data`` cut into pieces of ``size`` bytes."""
+    return [data[at:at + size] for at in range(0, len(data), size)]
+
+
+def interleave(runs: list, count: int) -> bytes:
+    """Each run cut into ``count`` equal pieces, taken in turn: every run's
+    first piece, then every run's second, and so on.  Runs of more than one
+    piece are of one length; short pieces are written a byte at a time."""
+    if len(runs) == 1 or count == 1:
+        return b"".join(runs)
+    size = len(runs[0]) // count
+    if size > count:
+        return b"".join(chain.from_iterable(zip(*[split(run, size) for run in runs])))
+    woven, step = bytearray(len(runs) * len(runs[0])), size * len(runs)
+    for at, run in enumerate(runs):
+        for b in range(size):
+            woven[at * size + b::step] = run[b::size]
+    return bytes(woven)
+
+
+class Run(Record):
+    """A piece of an ``m x j`` matrix's fillings over the indices from
+    ``base``: the first ``heads`` columns of each hold those indices, column
+    by column, and the rest each record of ``template`` over the indices
+    after them; with every column a head it is one filling."""
+
+    __slots__ = _fields = ("base", "j", "m", "heads", "template")
+
+    def indices(self) -> list:
+        """Each filling's indices row by row, one filling after another."""
+        base, j, m, heads = self.base, self.j, self.m, self.heads
+        k, inner = j - heads, base + heads * m
+        lead = cycle([tuple(range(base + r, inner, m)) for r in range(m)])
+        rows = zip(*[iter([inner + i for i in self.template])] * k) if k else repeat((), m)
+        return [i for head, row in zip(lead, rows) for i in head + row]
+
+
+def _relabel(template: bytes, labels) -> bytes:
+    return template.translate(bytes.maketrans(bytes(range(len(labels))), bytes(labels)))
+
+
+@cache
+def _columns(k: int, m: int, budget: int) -> bytes:
+    """Every column filling of an ``m x k`` matrix whose minimum lies within
+    the first ``budget`` columns, row-major over ``0 .. k*m - 1``."""
+    if k == 1:
+        return bytes(range(m))
+    size, runs = k * m, []
+    for column in combinations(range(size), m):
+        if column[0] and budget == 1:
+            break
+        rest = _columns(k - 1, m, budget - 1 if column[0] else k - 1)
+        rest = _relabel(rest, without(range(size), column))
+        count = len(rest) // (size - m)
+        run = bytearray(size * count)
+        for r, index in enumerate(column):
+            run[r * k::size] = bytes([index]) * count
+            for c in range(1, k):
+                run[r * k + c::size] = rest[r * (k - 1) + c - 1::size - m]
+        runs.append(run)
+    return b"".join(runs)
+
+
+def _heads(size: int, width: int, m: int, budget: int) -> Iterator[tuple]:
+    """The first ``width`` columns of the column fillings of ``size``
+    indices, each flattened column by column, in the filler's order."""
+    if m == 1:
+        return (head for head in permutations(range(size), width)
+                if (head + (0,)).index(0) < budget)
+
+    def rec(avail: tuple, width: int, budget: int) -> Iterator[tuple]:
+        # ``budget`` 0 once the minimum is placed.
+        if not width:
+            yield ()
+            return
+        for column in combinations(avail, m):
+            if budget == 1 and column[0] != avail[0]:
+                break
+            after = budget - 1 if budget and column[0] != avail[0] else 0
+            for rest in rec(without(avail, column), width - 1, after):
+                yield column + rest
+
+    return rec(tuple(range(size)), width, budget)
+
+
+def pieces(kind: str, j: int, m: int, budget: int, most: int, limit: int
+           ) -> Iterator[tuple[tuple, bytes]]:
+    """The fillings of an ``m x j`` matrix of class ``kind`` in order, as
+    pieces ``(head, template)`` of at most ``most`` fillings (or of one
+    column): ``head`` holds the indices of the first ``len(head) // m``
+    columns, column by column, and ``template`` a run over the indices after
+    them, ascending.  The row filler holds at most ``limit`` at once."""
+    if kind == CLASS_BP and m > 1:
+        if j * (m - 1) > 126:
+            # Past the row filler's index bytes each filling is a head.
+            return ((tuple(chain.from_iterable(zip(*rows))), b"")
+                    for rows in _row_heads(tuple(range(j * m)), j))
+        size = max(most, 1) * j * m
+        return (((), piece) for run in _rows(j, m, limit) for piece in split(run, size))
+    # Past the index bytes, a column of more than 255 rows, the head is all.
+    k = int(m < 256)
+    while 0 < k < j and fill_count(kind, k + 1, m, k + 1 if k + 1 < j else budget) <= most:
+        k += 1
+    return ((head, _columns(k, m, k if 0 in head else budget + k - j) if k else b"")
+            for head in _heads(j * m, j - k, m, budget))
+
+
+def fillings(kind: str, j: int, m: int, budget: int, limit: int) -> Iterator[tuple]:
+    """Each filling of an ``m x j`` matrix of class ``kind`` in order, as its
+    indices column by column."""
+    for head, template in pieces(kind, j, m, budget, limit, limit):
+        order = head + without(range(j * m), head)
+        flat = Run(0, j, m, len(head) // m, template).indices()
+        for at in range(0, len(flat), j * m):
+            yield tuple(order[flat[at + r * j + c]] for c in range(j) for r in range(m))
+
+
+def _permutations(first: tuple, limit: int) -> Iterator[bytes]:
+    """The permutations of ``first``, ascending, in order, in runs of at
+    most ``limit``."""
+    rows = map(bytes, permutations(first))
+    while run := b"".join(islice(rows, max(limit, 1))):
+        yield run
+
+
+def _row_heads(avail: tuple, j: int) -> Iterator[tuple]:
+    """The row fillings of ``avail`` in the row filler's order, each as its
+    rows in canonical order; one generator per row."""
+    if not avail:
+        yield ()
+        return
+    for others in combinations(avail[1:], j - 1):
+        first = (avail[0], *others)
+        for rows in _row_heads(without(avail, first), j):
+            for row in permutations(first):
+                yield tuple(sorted((row, *rows)))
+
+
+def _marked(chunk: bytes, j: int, rows: int) -> bytes:
+    """``chunk``'s records of ``rows`` rows, each row between two gap
+    bytes on either side: the first members beside the gap as ``128 + v``,
+    and 254 and 255 at the record's ends."""
+    width = j * rows
+    count, size = len(chunk) // width, width + 2 * rows + 2
+    marked = bytearray(count * size)
+    marked[0::size], marked[size - 1::size] = b"\xfe" * count, b"\xff" * count
+    for g in range(rows):
+        at = g * (j + 2) + 1
+        marked[at::size] = marked[at + j + 1::size] = chunk[g * j::width].translate(
+            bytes(range(128, 256)) * 2)
+        for c in range(j):
+            marked[at + 1 + c::size] = chunk[g * j + c::width]
+    return bytes(marked)
+
+
+def _rows(j: int, m: int, limit: int):
+    """The row fillings of an ``m x j`` matrix, ``m >= 2``: the kept template
+    if at most ``limit``, else runs of at most ``limit``."""
+    count = fill_count(CLASS_BP, j, m, j)
+    return [_row_template(j, m)] if count <= limit else _row_runs(j, m, limit)
+
+
+@lru_cache(maxsize=8)
+def _row_template(j: int, m: int) -> bytes:
+    return b"".join(_row_runs(j, m, fill_count(CLASS_BP, j, m, j)))
+
+
+def _row_runs(j: int, m: int, limit: int) -> Iterator[bytes]:
+    size, width = j * m, j * (m - 1)
+    # Chunks of the other rows' fillings that, times the permutations of the
+    # first row, hold at most ``limit``; those come in one run whenever a
+    # chunk holds more than one filling.
+    per = max(1, limit // factorial(j)) * width
+    for others in combinations(range(1, size), j - 1):
+        first = (0, *others)
+        left = bytes(without(range(size), first))
+        runs = _permutations(tuple(range(j)), limit) if m == 2 else _rows(j, m - 1, limit)
+        for chunk in (_marked(piece, j, m - 1) for run in runs for piece in split(run, per)):
+            for run in _permutations(first, limit):
+                copies = []
+                for lead, rows in groupby(split(run, j), itemgetter(0)):
+                    # The gap with first members below ``lead`` before it and
+                    # none after it reads 254, 255, and takes the row.
+                    below = bisect_left(left, lead)
+                    holed = chunk.translate(
+                        left + bytes(128 - width) + b"\xfe" * below + b"\xff" * (width - below)
+                        + bytes(126 - width) + b"\xfe\xff").replace(b"\xfe\xff", b"\xfd")
+                    holed = holed.translate(None, b"\xfe\xff")
+                    copies += [holed.replace(b"\xfd", row) for row in rows]
+                yield interleave(copies, len(chunk) // (width + 2 * m))
 
 
 @cache
 def placeholders(n: int):
-    """``(slots, moves, relabel, remap)`` for the indices ``0 .. n-1`` of a
+    """``(moves, relabel, remap, marks)`` for the indices ``0 .. n-1`` of a
     block of text; ``None`` if their placeholders do not fit.  Each ``n``'s
     are made once, for all of its partitions.
 
     An index takes one placeholder byte per decimal place of ``n - 1``, from
-    the bytes schedule text never holds: ``slots[k]`` is a comma and index
-    ``k``'s placeholder, and ``moves[i]`` the ``bytes.translate`` table from
-    an index to its byte in place ``i``.  ``relabel(block, labels)`` is one
-    ``bytes.translate``: it writes the digits of ``labels[k]`` into the
-    places of index ``k`` and deletes the leading places that a label with
-    fewer digits leaves empty.  ``remap(block, sigma)`` is one more: it
-    writes index ``sigma[k]`` in the places of index ``k``.
+    the bytes schedule text never holds: ``moves[i]`` is the
+    ``bytes.translate`` table from an index to its byte in place ``i``.
+    ``relabel(block, labels)`` is one ``bytes.translate``: it writes the
+    digits of ``labels[k]`` into the places of index ``k`` and deletes the
+    leading places that a label with fewer digits leaves empty.
+    ``remap(block, sigma)`` is one more: it writes index ``sigma[k]`` in the
+    places of index ``k``.  ``marks`` are two more bytes of that kind, which
+    no placeholder takes.
     """
     alphabet = bytes(sorted(set(range(256)).difference(b"[],0123456789\n")))
     width = len(str(n - 1))
-    if width * n > len(alphabet):
+    if width * n + 2 > len(alphabet):
         return None
     places = [alphabet[i * n:(i + 1) * n] for i in range(width)]
-    slots = [b"," + bytes(place[k] for place in places) for k in range(n)]
     numerals = [str(label).rjust(width) for label in range(n)]
     padding = bytes(256 - n)
     digits = [bytes(ord(numeral[i]) for numeral in numerals) + padding
@@ -101,7 +305,7 @@ def placeholders(n: int):
             return block.translate(maketrans(source, key.translate(move)))
         return block.translate(maketrans(source, b"".join([key.translate(m) for m in moves])))
 
-    return slots, moves, relabel, remap
+    return moves, relabel, remap, (alphabet[-2:-1], alphabet[-1:])
 
 
 def _before(head: bytes, lines: bytes) -> bytes:
@@ -109,103 +313,79 @@ def _before(head: bytes, lines: bytes) -> bytes:
     return head + lines.replace(b"\n", b"\n" + head)[:-len(head)]
 
 
-@lru_cache(maxsize=8)
-def _permuted(n: int, k: int) -> bytes:
-    """The permutations of the indices below ``k`` of ``n``, in
-    lexicographic order, each a row: the permutations of one index fewer,
-    moved up past each first index in turn.  Kept for the partitions of one
-    ``n``."""
-    slots, _, _, remap = placeholders(n)
-    if k == 1:
-        return slots[0][1:] + b"\n"
-    shorter = _permuted(n, k - 1)
-    moved = [remap(shorter, (*range(i), *range(i + 1, n + 1))) for i in range(k)]
-    return b"".join([_before(slots[i][1:] + b",", lines) for i, lines in enumerate(moved)])
+def spread(lines: bytes, mark: bytes, pieces: bytes) -> bytes:
+    """Each of ``pieces``, newline-ended, written at the one ``mark`` of each
+    of ``lines``, the pieces outer: a piece at a time or a line at a time,
+    whichever are fewer."""
+    width = lines.index(b"\n") + 1
+    count, many = len(lines) // width, pieces.count(b"\n")
+    if many <= count:
+        return b"".join([lines.replace(mark, piece) for piece in pieces.split(b"\n")[:-1]])
+    runs = []
+    for line in split(lines, width):
+        head, _, tail = line.partition(mark)
+        copies = head + pieces.replace(b"\n", tail + head)
+        runs.append(copies[:len(copies) - len(head)])
+    return interleave(runs, many)
 
 
 def renderer(n: int):
     """The function that writes one partition's blocks of ``n`` automata as
     text, ``render(block, remaps, labels)``; ``None`` past 100 automata.
 
-    Each group's text is built once and kept, and a block is relabelled
-    with one ``bytes.translate``; a block's remaps are written once too.
+    A block's text is built once and kept for the blocks after it, and a
+    block is relabelled with one ``bytes.translate``; a block's remaps are
+    written once too, and so is each piece of its outer factor.
     """
     marks = placeholders(n)
     if marks is None:
         return None
-    slots, moves, relabel, remap = marks
-    texts: dict = {}
-
-    def lead(label: int, lines: bytes) -> bytes:
-        return _before(slots[label][1:] + b",", lines)
-
-    def row(labels: tuple, budget: int) -> bytes:
-        """The rows of ``one_row(labels, budget)``, by its recursion."""
-        if budget >= len(labels):
-            return remap(_permuted(n, len(labels)), (*labels, *bytes(n - len(labels))))
-        first, rest = labels[:1], labels[1:]
-        parts = [lead(first[0], row(rest, len(rest)))]
-        if budget > 1:
-            parts += [lead(label, row(first + rest[:i] + rest[i + 1:], budget - 1))
-                      for i, label in enumerate(rest)]
-        return b"".join(parts)
+    moves, relabel, remap, (mark, top) = marks
 
     def layout(factor, sep: bytes) -> bytes:
         """The factor's pieces with placeholders, each ``sep`` and its rows
-        and a newline: the indices are written a column at a time."""
-        if isinstance(factor, OneRow):
-            body = row(factor.labels, factor.budget)
-            for label in reversed(factor.head):
-                body = lead(label, body)
-            return _before(sep, body)
-        pieces = list(factor)
-        if len(pieces) == 1:
-            return sep + b"],[".join([b"".join(map(slots.__getitem__, row))[1:]
-                                      for row in pieces[0]]) + b"\n"
+        and a newline: a run's indices are written a column at a time."""
+        base, j, m, heads = factor.base, factor.j, factor.m, factor.heads
+        k, inner = j - heads, base + heads * m
+        template = factor.template.translate(bytes(range(inner, 256)) + bytes(inner))
+        count = len(template) // (k * m) if k else 1
         hole = bytes(len(moves))
-        form = sep + b"],[".join([b",".join([hole] * len(row)) for row in pieces[0]]) + b"\n"
-        flat = bytes(chain.from_iterable(chain.from_iterable(pieces)))
-        size, line = len(flat) // len(pieces), len(form)
-        text = bytearray(form * len(pieces))
-        at = len(sep) - 1
-        for q in range(size):
-            at += 1 + (form[at] == 93) * 2
-            column = flat[q::size]
-            for place, move in enumerate(moves):
-                text[at + place::line] = column.translate(move)
-            at += len(moves)
-        return text
+        form = sep + b"],[".join([b",".join([hole] * j)] * m) + b"\n"
+        line = len(form)
+        text = bytearray(form * count)
+        at = len(sep)
+        for r in range(m):
+            for c in range(j):
+                column = (bytes([base + c * m + r]) * count if c < heads
+                          else template[r * k + c - heads::k * m])
+                for place, move in enumerate(moves):
+                    text[at + place::line] = column.translate(move)
+                at += len(moves) + (1 if c + 1 < j else 3)
+        return bytes(text)
 
-    def text(group: tuple) -> bytes:
-        """The group's lines with placeholders, kept for the next block: the
-        product folded from its last factor, each piece of a factor written
-        before every line of the factors after it."""
-        factors = [f if isinstance(f, OneRow) else list(f) for f in group]
+    def text(inner: tuple) -> bytes:
+        """The lines of the block's factors but the outer one, whose place
+        holds ``top``: each factor's pieces written before every line of the
+        factors after it, the leftmost outermost."""
         seps = chain([b"[["], repeat(b"],["))
-        if all(isinstance(f, list) and len(f) == 1 for f in factors):
-            rows = chain.from_iterable(factor[0] for factor in factors)
-            texts[id(group)] = layout([tuple(rows)], b"[[")[:-1] + b"]]\n"
-            return texts[id(group)]
-        *heads, lines = [layout(factor, sep) for sep, factor in zip(seps, factors)]
-        lines = lines.replace(b"\n", b"]]\n")
-        for head in reversed(heads):
-            if lines.count(b"\n") == 1:
-                # One line after each piece: it takes the piece's newline.
-                lines = bytes(head).replace(b"\n", lines)
-            else:
-                pieces = bytes(head).split(b"\n")[:-1]
-                lines = b"".join([_before(piece, lines) for piece in pieces])
-        texts[id(group)] = bytes(lines)
-        return texts[id(group)]
+        *parts, lines = [top + b"\n" if factor is None else layout(factor, sep)
+                         for factor, sep in zip(inner, seps)]
+        for part in reversed(parts):
+            lines = spread(_before(mark, lines), mark, part)
+        return lines.replace(b"\n", b"]]\n")
 
-    held = [None, b""]
+    held = [None, b"", None, b""]
 
     def render(block: tuple, remaps: list, labels: tuple[int, ...]) -> bytes:
-        if block is not held[0]:
-            lines = b"".join([texts.get(id(group)) or text(group) for group in block])
+        inner, outer = block
+        if inner is not held[0]:
+            lines = text(inner)
             for level in reversed(remaps):
                 lines = b"".join([remap(lines, sigma) for sigma in level])
-            held[:] = block, lines
-        return relabel(held[1], labels)
+            held[:] = inner, lines, None, lines
+        if outer is not held[2]:
+            at, factor = outer
+            held[2:] = outer, spread(held[1], top, layout(factor, b"],[" if at else b"[["))
+        return relabel(held[3], labels)
 
     return render

@@ -3,19 +3,20 @@
 Everything here is deliberately written with different algorithms than the
 package: ascending-part recursion for partitions, set-partition expansion for
 schedules, explicit rotation minimisation for shift classes.  The exception
-is :func:`template_stream`, the package's earlier schedule text path: it
-shares the matrix fillers but renders one ``str.format`` template per filling
-and line, the reference for the text rendered a block at a time.
+is :func:`template_stream`, the package's earlier schedule text path: the
+tuple fillers the package used before its fillers wrote index bytes, and one
+``str.format`` template per filling and line, the reference for the text
+rendered a block at a time.
 """
 
 import json
 import math
 from functools import lru_cache
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, filterfalse, permutations, repeat
 from operator import methodcaller
-from typing import Optional
+from typing import Iterator, Optional
 
-from blockpar import blocktext, counting, enumeration, phi, update_block
+from blockpar import counting, enumeration, phi, update_block
 from blockpar.partitions import Partition, partitions_of
 
 
@@ -240,6 +241,79 @@ def embeds_injectively(pattern: dict, successors) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The matrix fillers as tuples, one generator level per row or column
+
+
+def _without(pool: tuple, taken) -> tuple:
+    return tuple(filterfalse(set(taken).__contains__, pool))
+
+
+def fill_rows(elements: tuple, j: int, m: int) -> Iterator[tuple]:
+    """All ways to split ``elements`` into ``m`` ordered rows of length ``j``,
+    up to permutation of the rows.
+
+    Rows are produced in increasing order of their smallest member, which
+    picks one representative per row-set.
+    """
+    if j == 1:
+        yield tuple((e,) for e in elements)
+        return
+
+    def rec(avail: tuple) -> Iterator[tuple]:
+        if not avail:
+            yield ()
+            return
+        head, rest = avail[0], avail[1:]
+        for others in combinations(rest, j - 1):
+            remaining = _without(rest, others)
+            row_elements = (head,) + others
+            for tail in rec(remaining):
+                for row in permutations(row_elements):
+                    yield (row,) + tail
+
+    yield from rec(elements)
+
+
+def fill_columns_shifted(elements: tuple, j: int, m: int, budget: int) -> Iterator[tuple]:
+    """All ways to fill a ``m x j`` matrix column by column, each column an
+    unordered ``m``-subset written ascending, whose minimum lands within the
+    first ``budget`` columns.  Yields the matrix as rows.
+
+    Columns before the budget boundary are free choices; if the minimum is
+    still unplaced when exactly ``j - budget + 1`` columns remain, it is
+    forced into the current column.
+    """
+    minimum = elements[0]
+    force_at = j - budget + 1
+
+    def rec(avail: tuple, cols_left: int, acc: tuple) -> Iterator[tuple]:
+        if cols_left == 1:
+            yield tuple(zip(*acc, avail))
+            return
+        if cols_left == force_at and avail[0] == minimum:
+            cols = map((minimum,).__add__, combinations(avail[1:], m - 1))
+        else:
+            cols = combinations(avail, m)
+        for col in cols:
+            yield from rec(_without(avail, col), cols_left - 1, acc + (col,))
+
+    yield from rec(elements, j, ())
+
+
+def one_row(labels: tuple, budget: int) -> Iterator[tuple]:
+    """The fillings of a one-row matrix holding ``labels``, written in
+    ascending order, as that row: the permutations of ``labels`` in
+    lexicographic order of positions whose first label, the matrix minimum,
+    lies within the first ``budget`` positions, built by ``itertools``."""
+    if budget >= len(labels):
+        return permutations(labels)
+    first, rest = labels[:1], labels[1:]
+    leads = (map((lead,).__add__, one_row(first + rest[:i] + rest[i + 1:], budget - 1))
+             for i, lead in enumerate(rest)) if budget > 1 else ()
+    return chain(map(first.__add__, permutations(rest)), chain.from_iterable(leads))
+
+
+# ---------------------------------------------------------------------------
 # The schedule text of the class streams, one ``str.format`` per filling
 
 class _Field(int):
@@ -257,7 +331,7 @@ def _text_piece(rows, opens: bool, closes: bool) -> str:
 
 
 def _text_row(labels, budget: int, opens: bool, closes: bool):
-    rows = map(",".join, blocktext.one_row(tuple(map(str, labels)), budget))
+    rows = map(",".join, one_row(tuple(map(str, labels)), budget))
     return map("".join, zip(repeat("[[" if opens else ",["), rows,
                             repeat("]]" if closes else "]")))
 
@@ -291,9 +365,9 @@ def template_stream(n: int, p: Partition, kind: str, renderer=TEXT):
         if m == 1:
             return row(elements, budgets[j], opens, closes)
         if kind == "bp":
-            fillings = enumeration._fill_rows(elements, j, m)
+            fillings = fill_rows(elements, j, m)
         else:
-            fillings = enumeration._fill_columns_shifted(elements, j, m, budgets[j])
+            fillings = fill_columns_shifted(elements, j, m, budgets[j])
         return (piece(rows, opens, closes) for rows in fillings)
 
     limit = enumeration._MATERIALIZE_LIMIT

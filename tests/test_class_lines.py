@@ -117,9 +117,9 @@ def _filled_one_row(renderer: tuple, kind: str) -> tuple:
 
     def row(labels, budget, opens, closes):
         if kind == "bp":
-            fillings = enumeration._fill_rows(labels, len(labels), 1)
+            fillings = oracles.fill_rows(labels, len(labels), 1)
         else:
-            fillings = enumeration._fill_columns_shifted(labels, len(labels), 1, budget)
+            fillings = oracles.fill_columns_shifted(labels, len(labels), 1, budget)
         return (piece(rows, opens, closes) for rows in fillings)
 
     return piece, row, relabel
@@ -133,8 +133,8 @@ def drain_against_the_oracle(kind: str, limit: int, one_row: bool, monkeypatch) 
     drained once per stream: class_lines, enum_class serialised, and the
     template oracle, whose one-row matrices also take their fillings from
     the fillers where the partition has one.  Under these limits the blocks
-    hold products of templates, first rows and first columns, permutation
-    suffixes and single lines."""
+    hold products of templates, pieces of a matrix's fillings, member
+    choices and single lines."""
     monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
     filled = _filled_one_row(oracles.TEXT, kind)
     for n in range(1, 9):
@@ -162,7 +162,7 @@ def test_class_lines_match_the_template_oracle(kind, limit, monkeypatch):
 
 #: The first lines of ``blockpar enum 12 --class bp|bp0 --partition 3+9``
 #: and ``blockpar enum 12 --class bp0``, whose one-row matrices too large to
-#: template split their permutations into prefixes and a block of suffixes.
+#: template stream in pieces of consecutive permutations.
 #: Digests copied from ``perfbench/expected.json``.
 PREFIXES = {
     ("bp", "3+9", 100000): "e52c646646609dc4f6e1984abe8eb7c0e3376003c6aa1cfa678315dbed293665",
@@ -182,15 +182,37 @@ def test_prefix_bytes_pinned(capsysbinary, kind, parts, limit):
     assert hashlib.sha256(out).hexdigest() == PREFIXES[kind, parts, limit]
 
 
+#: sha256 of the first 20,000 lines of each partition of 12, one partition
+#: after another in canonical order, taken before the fillers wrote index
+#: bytes, when large bp matrices split off their first row or column.
+TWELVE = {
+    "bp": "20e51cfab30c967d75a4e94a411a4ac25c05c31dc95a97ffb6b211c734e7d27e",
+    "bp0": "7b4af323b27e9bcae106c77e660ba9228e881099ebae9daa82ac488d4a21741b",
+    "bpstar": "b6186a1417acf51807d69fc84141f2b8565cb1ed461e6ced5b8d7294fab3bb0e",
+}
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+def test_first_lines_of_every_partition_of_12_pinned(kind):
+    digest = hashlib.sha256()
+    for p in partitions_of(12):
+        lines = islice(class_lines(12, kind, p), 20000)
+        digest.update("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest() == TWELVE[kind]
+
+
 #: Prefixes at two-digit labels: several part sizes, one size with two or
 #: more rows, and a one-row matrix too large to template, which streams.
-#: In ``bp``, the (5,5) matrix of 1+5+5 and 1+1+5+5 splits off the row
-#: holding its least label, 14,400 lines a head; in 2+5+5 the 2-row varies
-#: inside it, so it does not split.
+#: One-matrix partitions past ``_BLOCK_LINES`` fillings and the (9,) of
+#: 1+2+9 stream in pieces; 10,000 lines cross two piece joins of 6+6,
+#: 2+2+2+2+2+2, 3+3+3+3 and 2+5+5 (its (5,5) pieces hold 2,048 fillings).
+#: The 3,000-line prefixes of three of them came first and keep their ids.
 TWO_DIGIT = [("11", "1+2+3+5", 3000), ("11", "2+9", 3000), ("11", "1+1+1+4+4", 3000),
              ("12", "4+4+4", 20000), ("12", "6+6", 3000), ("12", "2+2+2+2+2+2", 3000),
              ("12", "3+9", 3000), ("12", "2+3+3+4", 3000), ("11", "1+5+5", 20000),
-             ("12", "2+5+5", 3000), ("12", "1+1+5+5", 20000)]
+             ("12", "2+5+5", 3000), ("12", "1+1+5+5", 20000), ("12", "6+6", 10000),
+             ("12", "2+2+2+2+2+2", 10000), ("12", "2+5+5", 10000), ("12", "3+3+3+3", 10000),
+             ("12", "1+2+9", 10000)]
 
 
 @pytest.mark.parametrize("kind", CLASSES)
@@ -206,27 +228,29 @@ def test_two_digit_labels_match_the_template_oracle(capsys, kind, n, parts, limi
 
 
 def test_two_digit_first_row_blocks(capsys, monkeypatch):
-    # At the default limit no one-size bp partition of 11 or 12 takes
-    # first-row blocks; under a larger one, (2,2,2,2,2,2) does, 60,480 lines
-    # a choice, and the prefix crosses into the second choice.
-    monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", 1 << 19)
+    # 2+2+2+2+2+2 takes 60,480 lines for each first row, the row holding
+    # automaton 0, as pieces of at most _BLOCK_LINES, and the prefix crosses
+    # into the second first row.  Under a limit of 2^10 a piece holds 85.
     p = Partition.parse("2+2+2+2+2+2")
-    assert next(enumeration._text_chunks(12, p, "bp")).count(b"\n") == 60480
+    chunks = islice(enumeration._text_chunks(12, p, "bp"), 16)
+    assert [chunk.count(b"\n") for chunk in chunks] == [4096] * 14 + [3136, 4096]
     argv = ["enum", "12", "--class", "bp", "--partition", "2+2+2+2+2+2", "--limit", "70000"]
-    assert main(argv) == EXIT_OK
     expected = list(islice(oracles.template_stream(12, p, "bp"), 70000))
-    assert capsys.readouterr().out.splitlines() == expected
+    for limit in [enumeration._MATERIALIZE_LIMIT, 1 << 10]:
+        monkeypatch.setattr(enumeration, "_MATERIALIZE_LIMIT", limit)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("kind", CLASSES)
 def test_blocks_hold_64_lines_or_the_whole_partition(kind):
-    # Blocks of one partition hold equally many lines, so the first block
-    # is the average; under 64 lines a block costs more than its lines.
-    for n in range(1, 12):
+    # The first blocks of a partition hold as many lines as any but the
+    # last piece of a run; under 64 lines a block costs more than its lines.
+    for n in range(1, 13):
         for p in partitions_of(n):
-            chunks = enumeration._text_chunks(n, p, kind)
-            first = next(chunks)
-            assert next(chunks, None) is None or first.count(b"\n") >= 64, (n, p.label())
+            chunks = islice(enumeration._text_chunks(n, p, kind), 3)
+            sizes = [chunk.count(b"\n") for chunk in chunks]
+            assert min(sizes[:-1], default=64) >= 64, (n, p.label(), sizes)
 
 
 @pytest.mark.parametrize("kind", CLASSES)
@@ -257,11 +281,58 @@ def test_placeholder_alphabet_edge(kind, n):
 def test_one_row_is_the_column_filler_with_one_row(length):
     labels = tuple(range(3, 3 + 2 * length, 2))
     for budget in range(1, length + 1):
-        expected = [rows[0] for rows in
-                    enumeration._fill_columns_shifted(labels, length, 1, budget)]
-        assert list(blocktext.one_row(labels, budget)) == expected
-    assert list(blocktext.one_row(labels, length)) \
-        == [rows[0] for rows in enumeration._fill_rows(labels, length, 1)]
+        expected = [rows[0] for rows in oracles.fill_columns_shifted(labels, length, 1, budget)]
+        assert list(oracles.one_row(labels, budget)) == expected
+        for limit in [0, 6, enumeration._MATERIALIZE_LIMIT]:
+            filled = blocktext.fillings("bp0", length, 1, budget, limit)
+            assert [tuple(labels[i] for i in row) for row in filled] == expected
+    assert list(oracles.one_row(labels, length)) \
+        == [rows[0] for rows in oracles.fill_rows(labels, length, 1)]
+
+
+@pytest.mark.parametrize("kind", CLASSES)
+def test_fillers_match_the_tuple_fillers(kind):
+    # Every matrix of at most 8 automata, the first, middle and last budget,
+    # whole and in pieces of a few fillings, with the row filler holding few
+    # at a time.
+    for j, m in [(j, m) for j in range(1, 9) for m in range(1, 9) if j * m <= 8]:
+        elements = tuple(range(j * m))
+        for budget in sorted({1, (j + 1) // 2, j}) if kind == "bpstar" else [j]:
+            if kind == "bp":
+                expected = [sum(sorted(rows), ()) for rows in oracles.fill_rows(elements, j, m)]
+            else:
+                expected = [sum(rows, ()) for rows in
+                            oracles.fill_columns_shifted(elements, j, m, budget)]
+            for limit in [0, 6, enumeration._MATERIALIZE_LIMIT]:
+                # The fillings come column by column.
+                assert [tuple(filled[c * m + r] for r in range(m) for c in range(j)) for filled
+                        in blocktext.fillings(kind, j, m, budget, limit)] == expected
+                got = []
+                for head, template in blocktext.pieces(kind, j, m, budget, 7, limit):
+                    order = head + tuple(i for i in elements if i not in head)
+                    flat = blocktext.Run(0, j, m, len(head) // m, template).indices()
+                    assert len(flat) <= 7 * j * m
+                    got += [tuple(order[i] for i in flat[at:at + j * m])
+                            for at in range(0, len(flat), j * m)]
+                assert got == expected, (j, m, budget, limit)
+
+
+@pytest.mark.parametrize("kind, j, m, budget", [
+    ("bp", 2, 65, 2), ("bp", 130, 2, 130), ("bp0", 2, 256, 2), ("bpstar", 3, 256, 1),
+])
+def test_fillers_past_the_index_bytes(kind, j, m, budget):
+    # A bp matrix whose other rows hold more than 126 indices, or a column
+    # of more than 255 rows, is past the fillers' index bytes: its fillings
+    # come as heads, in the same order.
+    elements = tuple(range(j * m))
+    if kind == "bp":
+        expected = (sum(sorted(rows), ()) for rows in oracles.fill_rows(elements, j, m))
+    else:
+        expected = (sum(rows, ()) for rows in
+                    oracles.fill_columns_shifted(elements, j, m, budget))
+    got = (tuple(filled[c * m + r] for r in range(m) for c in range(j))
+           for filled in blocktext.fillings(kind, j, m, budget, enumeration._MATERIALIZE_LIMIT))
+    assert list(islice(got, 2000)) == list(islice(expected, 2000))
 
 
 @pytest.mark.parametrize("kind", CLASSES)

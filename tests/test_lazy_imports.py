@@ -120,13 +120,15 @@ def test_other_commands_load_no_gadget_code(tmp_path, command):
     assert _loaded(argv, ("blockpar.gadget",)) == "0 [] []"
 
 
-def test_dynamics_stays_under_the_parsers_token_step():
-    # Every check and export compiles dynamics.py. Past 4,096 tokens the
-    # parser doubles its token array and allocates a token for each new
-    # slot, about 0.25 MB more peak memory for each of those commands.
+@pytest.mark.parametrize("module", ["dynamics.py", "enumeration.py", "blocktext.py"])
+def test_dynamics_stays_under_the_parsers_token_step(module):
+    # Every check and export compiles dynamics.py, and every enum command
+    # the other two. Past 4,096 tokens the parser doubles its token array
+    # and allocates a token for each new slot, about 0.25 MB more peak
+    # memory for each of those commands.
     import tokenize
 
-    path = Path(blockpar.__file__).parent / "dynamics.py"
+    path = Path(blockpar.__file__).parent / module
     skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
     with open(path, "rb") as handle:
         tokens = [t for t in tokenize.tokenize(handle.readline) if t.type not in skipped]
