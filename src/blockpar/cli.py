@@ -11,7 +11,8 @@ cross-check or any other unexpected exception: always a bug).
 
 Each command imports the modules it runs on, so a command loads no module
 it does not use: ``enum`` and ``count`` never load the network code, and
-``json`` loads only where a command reads or writes JSON.
+``json`` loads only where a command reads or writes JSON other than a plain
+schedule, which is read without it.
 """
 
 from __future__ import annotations
@@ -249,14 +250,16 @@ def cmd_trace(args) -> dict:
 
 
 def cmd_dynamics(args) -> dict:
-    from . import dynamics
+    """Only the report reads the cycle lengths: a DOT export alone never
+    decomposes the graph."""
+    from . import dynamics, exports
 
     f = _load_network(args.network)
     mu = _load_schedule(args.schedule, n=f.n)
     graph = dynamics.transition_graph(f, mu, cap=args.cap_substeps)
-    lines = dynamics.dot_lines(graph) if args.format == "dot" else dynamics.json_lines(graph)
+    lines = exports.dot_lines(graph) if args.format == "dot" else exports.json_lines(graph)
     _write(args, _joined(lines))
-    return {"cycles": list(graph.cycle_lengths())}
+    return {"cycles": list(graph.cycle_lengths())} if args.report else {}
 
 
 def _answer(args, value: bool, **shown: str) -> dict:

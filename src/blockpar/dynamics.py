@@ -1,74 +1,93 @@
-"""Transition-graph analysis and desk-scale deciders, over the substep kernel.
+"""Whole-space analysis and desk-scale deciders, over the substep kernel.
 
 One *step* of a network under a block-parallel schedule is the composition of
 one block update per substep.  The scalar kernel, which runs one
 configuration through one step, is :mod:`blockpar.kernel`; ``step`` and
 ``step_trace`` are imported from it, so a command that only simulates never
-compiles this module.  The whole-space evaluator, ``_images``, is
-bit-sliced: it holds all ``2**n`` configurations as ``n`` bit-planes (one
-Python int per automaton, one bit per configuration), runs each substep once
-over every plane, and transposes the planes back into one machine word per
-configuration, read through a typed ``memoryview``.  It works through
-sub-cubes of doubling size, so a decider that stops early evaluates few
-configurations.  ``transition_graph`` joins the sub-cubes into one
-``array`` (1 to 4 bytes a configuration up to ``n = 20``), and
-``DynamicsGraph`` keeps the table it is given.  The whole-space deciders
-read the sub-cubes; ``is_bijective`` marks their images in a ``bytearray``
-and checks them against a scalar per-block method, ``_blocks_bijective``.
-That method splits each block
-into dependency components (members joined when either reads the other)
-and checks each component only over the configurations of its support,
-the component with every automaton its locals read; each local is
-evaluated once per assignment of the variables it reads, into a truth
-table of bytes (its docstring says why this is exact).  Every cycle
-decomposition, of the transition graph and of a subdynamics pattern, is one
-pointer chase, ``_decompose``, into ``array('i')``: the basins, and the
-cycles as one flat array of members with an array of end offsets; the
-graph's ``cycles`` tuples are built when read.  The exports, ``dot_lines``
-and ``json_lines``, yield their text lazily, one edge or at most 1,024
-members of a cycle at a time, and name the configurations a chunk at a
-time, so no export holds a name for every configuration or is built as one
-string.  Everything
-here is exact and exhaustive, guarded by explicit resource caps.  The
-``cap`` keyword bounds the substeps one step may expand to (``None`` for no
-cap).  Module constants, read at each call, bound the rest:
+compiles this module.  This module holds the whole-space layer: the
+evaluator, the transition graph and the deciders.  What is built on it
+lives in modules of its own, which only the commands that run them load:
+
+- :mod:`blockpar.blockmaps`, the per-block algebra behind ``is_bijective``'s
+  cross-check (``check bijective``);
+- :mod:`blockpar.exports`, the DOT and JSON text of a transition graph
+  (``dynamics``);
+- :mod:`blockpar.embedding`, subdynamics recognition (``check
+  subdynamics``).
+
+Each name that moved out is still read here, through the module's
+``__getattr__``, which imports its home on first use.
+
+The whole-space evaluator, ``_images``, is bit-sliced: it holds all
+``2**n`` configurations as ``n`` bit-planes (one Python int per automaton,
+one bit per configuration), runs each substep once over every plane, and
+transposes the planes back into one machine word per configuration, read
+through a typed ``memoryview``.  It works through sub-cubes of doubling
+size, so a decider that stops early evaluates few configurations.
+``transition_graph`` joins the sub-cubes into one ``array`` (1 to 4 bytes a
+configuration up to ``n = 20``), and ``DynamicsGraph`` keeps the table it is
+given and builds the rest when read.  The whole-space deciders read the
+sub-cubes; ``is_bijective`` marks their images in a ``bytearray``.  Every
+cycle decomposition, of the transition graph and of a subdynamics pattern,
+is one pointer chase, ``_decompose``, over typed marks that keep no basins:
+the cycles come as one flat array of members with an array of end offsets,
+or as the end offsets alone where only the lengths are read
+(``limit_cycle_exists``, ``limit_isomorphic``).
+
+Everything here is exact and exhaustive, guarded by explicit resource caps.
+The ``cap`` keyword bounds the substeps one step may expand to (``None``
+for no cap).  Module constants, read at each call, bound the rest:
 ``DEFAULT_GRAPH_N_CAP`` the automata of a whole-space operation,
-``DEFAULT_NODE_CAP`` the vertices of a ``subdynamics`` pattern and
-``DEFAULT_REACH_STEP_CAP`` the orbit ``reachable`` follows.  Every entry
-point checks its inputs once, in this order: the sizes match, then each
-configuration is in range, then (for a whole-space call) the graph cap,
-then the substep cap (:func:`~blockpar.schedule.check_substeps`).
+``DEFAULT_REACH_STEP_CAP`` the orbit ``reachable`` follows, and
+``embedding.DEFAULT_NODE_CAP`` the vertices of a ``subdynamics`` pattern.
+Every entry point checks its inputs once, in this order: the sizes match,
+then each configuration is in range, then (for a whole-space call) the
+graph cap, then the substep cap (:func:`~blockpar.schedule.check_substeps`).
 Exceeding a cap raises :class:`ResourceCapError` rather than truncating.
 
-This module is kept under 4,096 tokens.  Past that, CPython's parser
-doubles its token array and allocates a token for every new slot: about
-0.25 MB more peak memory for every command that compiles the module.
+Each module of this package is kept under 4,096 tokens.  Past that,
+CPython's parser doubles its token array and allocates a token for every
+new slot: about 0.25 MB more peak memory for every command that compiles
+the module.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from functools import cache
-from itertools import chain, permutations, repeat
-from operator import and_, lshift, or_, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from importlib import import_module
+from itertools import chain, permutations
+from operator import sub
+from typing import Iterator, Optional, Sequence
 
 from .errors import CrossCheckError, ResourceCapError
 # ``step`` and ``step_trace`` live in the kernel; they are public here too.
 from .kernel import _check_call, _check_configs, _Kernel, step, step_trace  # noqa: F401
-from .network import BooleanNetwork, Or, Var, format_config, format_configs
+from .network import BooleanNetwork, Or, Var
 from .schedule import DEFAULT_BLOCK_CAP, PartitionedOrder, check_substeps, equiv0
 
 #: Most automata a whole-space operation runs on (``n_cap`` in its message).
 DEFAULT_GRAPH_N_CAP = 20
-#: Most vertices of a ``subdynamics`` pattern (``node_cap`` in its message).
-DEFAULT_NODE_CAP = 12
 #: Steps ``reachable`` may take: enough for any orbit within ``n_cap`` automata.
 DEFAULT_REACH_STEP_CAP = 1 << DEFAULT_GRAPH_N_CAP
 #: ``_images`` evaluates the first ``2**_FIRST_CUBE_WIDTH`` configurations
 #: alone, then sub-cubes that double in size.
 _FIRST_CUBE_WIDTH = 8
+
+#: The module each name that moved out of this one now lives in.
+_HOME_OF = {name: module for module, names in {
+    "blockmaps": ("_blocks_bijective", "_components", "_spread", "_truth_table"),
+    "embedding": ("DEFAULT_NODE_CAP", "_kuhn_match", "_tree_children", "subdynamics"),
+    "exports": ("_NAME_CHUNK", "_edges", "_with_commas", "dot_lines", "graph_json",
+                "json_lines", "to_dot"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 def _cube_planes(n: int, base: int, width: int) -> tuple[list[int], int]:
@@ -149,38 +168,59 @@ def _sub_cube_images(f: BooleanNetwork, mu: PartitionedOrder) -> Iterator[memory
         yield _transpose(planes, 1 << width)
 
 
-def _decompose(successors: Sequence[int]):
-    """Cycles and basins of the functional graph ``x -> successors[x]`` on
-    ``0..len(successors)-1``, as three ``array('i')``: ``members``, every
-    cycle rotated to start at its smallest member, one after another;
-    ``ends``, where each cycle's members end; and ``basin``, where
-    ``basin[x]`` is the index of the cycle the orbit of ``x`` reaches.
+def _decompose(successors: Sequence[int], members=None, basin=None):
+    """The cycles of the functional graph ``x -> successors[x]`` on
+    ``0..len(successors)-1``: ``ends``, one ``array('i')`` of where each
+    cycle's members end, the cycles in the order the chase meets them.
+    Given ``members``, a list or an ``array('i')``, each cycle's members are
+    appended to it, rotated to start at the smallest.  Given ``basin``, an
+    ``array('i')`` of -1s, ``basin[x]`` is set to the index of the cycle the
+    orbit of ``x`` reaches.
+
+    One pointer chase over typed marks: ``marks[x]`` is the step at which
+    the chase first reached ``x``, 0 before.  A walk that stops on a mark it
+    set itself has closed a new cycle, as long as the steps since that mark.
     """
     from array import array
 
-    # Iterative pointer chase marked in ``basin``: -1 unseen, -2 on the path.
-    basin = array("i", [-1]) * len(successors)
-    members, ends = array("i"), array("i")
+    marks = array("i", [0]) * len(successors)
+    ends = array("i")
+    end = step = 0
     for start in range(len(successors)):
-        if basin[start] != -1:
+        if marks[start]:
             continue
-        path = []
+        first = step + 1
         u = start
-        while basin[u] == -1:
-            basin[u] = -2
-            path.append(u)
+        while not marks[u]:
+            step += 1
+            marks[u] = step
             u = successors[u]
-        if basin[u] == -2:
-            cycle = path[path.index(u):]
-            lowest = cycle.index(min(cycle))
-            members.extend(cycle[lowest:] + cycle[:lowest])
-            cycle_id = len(ends)
-            ends.append(len(members))
-        else:
-            cycle_id = basin[u]
-        for w in path:
-            basin[w] = cycle_id
-    return members, ends, basin
+        new = marks[u] >= first
+        if new:
+            end += step + 1 - marks[u]
+            ends.append(end)
+            if members is not None:
+                at = len(members)
+                members.append(u)
+                while (v := successors[members[-1]]) != u:
+                    members.append(v)
+                lowest = members.index(min(members[at:]), at)
+                if lowest > at:
+                    members[at:] = members[lowest:] + members[at:lowest]
+        if basin is not None:
+            # The walk again, to the first vertex labelled: a cycle it closed
+            # is labelled all round.
+            k = len(ends) - 1 if new else basin[u]
+            u = start
+            while basin[u] < 0:
+                basin[u] = k
+                u = successors[u]
+    return ends
+
+
+def _lengths(ends) -> Iterator[int]:
+    """The length of each cycle, from the end offsets of ``_decompose``."""
+    return map(sub, ends, chain([0], ends))
 
 
 def _cycles(members, ends):
@@ -188,27 +228,19 @@ def _cycles(members, ends):
     return tuple(tuple(members[a:b]) for a, b in zip(chain([0], ends), ends))
 
 
-def _tree_children(successors, on_cycle) -> dict[int, list[int]]:
-    """The predecessors not in ``on_cycle`` of each vertex that has any."""
-    children: dict[int, list[int]] = {}
-    for x, s in enumerate(successors):
-        if x not in on_cycle:
-            children.setdefault(s, []).append(x)
-    return children
-
-
 class DynamicsGraph:
     """Functional graph of one full step over all ``2**n`` configurations.
 
     ``successors`` is the table as given, not copied (``transition_graph``
-    gives an ``array``), and ``basin[x]`` the index of the cycle the orbit
-    of ``x`` reaches.  The cycles are held flat, as ``_decompose`` stores
-    them; ``cycles``, each cycle a tuple rotated to start at its smallest
-    member, and ``limit_set``, every configuration on a cycle, are built
-    when read.
+    gives an ``array``).  The rest is built when read.  The graph is
+    decomposed the first time its cycles are read, and they are held flat,
+    as :meth:`flat_cycles` gives them.  ``cycles``, each cycle a tuple
+    rotated to start at its smallest member, and ``limit_set``, every
+    configuration on a cycle, are built at each read.  ``basin[x]``, the
+    index of the cycle the orbit of ``x`` reaches, is built at the first.
     """
 
-    __slots__ = ("n", "successors", "basin", "_members", "_ends")
+    __slots__ = ("n", "successors", "_flat", "_basin")
 
     def __init__(self, n: int, successors: Sequence[int]):
         size = 1 << n
@@ -216,25 +248,45 @@ class DynamicsGraph:
             raise ValueError(f"expected {size} successors, got {len(successors)}")
         self.n = n
         self.successors = successors
-        self._members, self._ends, self.basin = _decompose(successors)
+        self._flat = self._basin = None
+
+    def flat_cycles(self):
+        """``(members, ends)``: every cycle's members, one after another in
+        one ``array('i')``, and where each cycle ends, as ``_decompose``
+        gives them."""
+        if self._flat is None:
+            from array import array
+
+            members = array("i")
+            self._flat = members, _decompose(self.successors, members)
+        return self._flat
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return _cycles(self._members, self._ends)
+        return _cycles(*self.flat_cycles())
 
     @property
     def limit_set(self) -> frozenset[int]:
-        return frozenset(self._members)
+        return frozenset(self.flat_cycles()[0])
+
+    @property
+    def basin(self):
+        if self._basin is None:
+            from array import array
+
+            self._basin = array("i", [-1]) * len(self.successors)
+            _decompose(self.successors, basin=self._basin)
+        return self._basin
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """Multiset of limit-cycle lengths, as a sorted tuple."""
-        return tuple(sorted(map(sub, self._ends, chain([0], self._ends))))
+        return tuple(sorted(_lengths(self.flat_cycles()[1])))
 
 
 def transition_graph(f: BooleanNetwork, mu: PartitionedOrder,
                      cap: Optional[int] = DEFAULT_BLOCK_CAP,
                      workers: int = 1) -> DynamicsGraph:
-    """Successor of every configuration, with cycle decomposition.
+    """Successor of every configuration; the cycles are found when read.
 
     ``workers`` is accepted and ignored: the sliced table is built in one
     process, which is faster than starting a pool.
@@ -280,7 +332,7 @@ def limit_cycle_exists(f: BooleanNetwork, mu: PartitionedOrder, k: int,
     """
     if k < 1:
         raise ValueError(f"cycle exponent must be positive, got {k}")
-    lengths = transition_graph(f, mu, cap=cap).cycle_lengths()
+    lengths = _lengths(_decompose(transition_graph(f, mu, cap=cap).successors))
     return any(k % length == 0 for length in set(lengths))
 
 
@@ -289,11 +341,12 @@ def limit_isomorphic(f: BooleanNetwork, mu: PartitionedOrder, mu2: PartitionedOr
     """Do the two schedules give isomorphic dynamics on their limit sets?
 
     On a finite set the limit restriction is a permutation, so isomorphism
-    reduces to equality of the cycle-length multisets.
+    reduces to equality of the cycle-length multisets, which the chase gives
+    without basins.
     """
-    lengths = transition_graph(f, mu, cap=cap).cycle_lengths()
-    lengths2 = transition_graph(f, mu2, cap=cap).cycle_lengths()
-    return lengths == lengths2
+    lengths = [sorted(_lengths(_decompose(transition_graph(f, m, cap=cap).successors)))
+               for m in (mu, mu2)]
+    return lengths[0] == lengths[1]
 
 
 def reachable(f: BooleanNetwork, mu: PartitionedOrder, x: int, y: int,
@@ -321,106 +374,6 @@ def has_preimage(f: BooleanNetwork, mu: PartitionedOrder, y: int,
     return next((x for x, image in enumerate(images) if image == y), None)
 
 
-def _components(block: tuple[int, ...], reads: list[tuple[int, ...]]) -> list[frozenset[int]]:
-    """The dependency components of ``block``: members ``i`` and ``j`` are
-    joined when either one's local reads the other."""
-    members = set(block)
-    group = {i: {i} for i in block}
-    for i in block:
-        for j in members.intersection(reads[i]):
-            a, b = group[i], group[j]
-            if a is not b:
-                a |= b
-                for k in b:
-                    group[k] = a
-    return list(dict.fromkeys(frozenset(group[i]) for i in block))
-
-
-def _truth_table(local, reads: tuple[int, ...]) -> bytes:
-    """``local`` at each assignment of its sorted ``reads``, every other bit
-    0: entry ``a`` sets ``reads[t]`` where bit ``t`` of ``a`` is set.
-
-    Reads ``0, 1, ..., t - 1`` at the bottom are a ``range``; each read
-    above them doubles the configurations."""
-    t = 0
-    while t < len(reads) and reads[t] == t:
-        t += 1
-    configs = range(1 << t)
-    for p in reads[t:]:
-        configs = [*configs, *map(or_, configs, repeat(1 << p))]
-    return bytes(map(local, configs))
-
-
-def _spread(table: bytes, reads: tuple[int, ...], support: tuple[int, ...]) -> bytes:
-    """``table`` over the sorted ``support``, a superset of ``reads``: entry
-    ``a`` is the table entry at the bits of ``a`` that ``reads`` name.
-
-    ``parts[h]`` is the column over the support bits taken so far with the
-    reads not yet taken at ``h``.  A read bit joins pairs of parts; any
-    other bit doubles each part.  The support's lowest bits, where they are
-    the lowest reads, come as slices of ``table``.
-    """
-    t = 0
-    while t < len(reads) and reads[t] == support[t]:
-        t += 1
-    width = 1 << t
-    parts = [table[k:k + width] for k in range(0, len(table), width)]
-    for p in support[t:]:
-        if t < len(reads) and reads[t] == p:
-            parts = list(map(bytes.__add__, parts[::2], parts[1::2]))
-            t += 1
-        else:
-            parts = [part * 2 for part in parts]
-    return parts[0]
-
-
-def _blocks_bijective(f: BooleanNetwork, blocks: Iterable[tuple[int, ...]]) -> bool:
-    """Is every block update in ``blocks`` a bijection?  Stops at the first
-    block that is not.
-
-    Each block is checked through its dependency components (``_components``,
-    from ``Expr.variables()``); each component ``C`` over the ``2**|S|``
-    configurations of its support ``S``, ``C`` with every automaton its
-    locals read, and every other bit 0.  This is exact:
-
-    - no local of one component reads a member of another, so for each fixed
-      context outside the block the block update is a product of the
-      component updates, and it is bijective iff each of them is;
-    - a component's update reads only ``S``, and ``S`` meets the block in
-      ``C`` alone, so the bits of ``S`` outside ``C`` are context the update
-      keeps.  It is bijective iff its images over those configurations,
-      context bits kept, are distinct.
-
-    Every local in a block reads the configuration before the substep, so a
-    local's value is the same in every block.  Each local is evaluated with
-    the scalar lambdas once per assignment of the variables it reads, into a
-    truth table of bytes: ``sum(2**|reads_i|)`` calls at most, never more
-    than ``n * 2**n``.  A component's images are assembled from its members'
-    tables, spread over ``S``, by C-level ``map``; its verdict is kept for
-    the other blocks that hold it.
-    """
-    compiled = f.compiled()
-    reads = [tuple(sorted(expr.variables())) for expr in f.locals]
-    tables: dict[int, bytes] = {}
-    verdicts: dict[frozenset[int], bool] = {}
-    for block in blocks:
-        for component in _components(block, reads):
-            if component not in verdicts:
-                support = tuple(sorted(component.union(*(reads[i] for i in component))))
-                place = {p: k for k, p in enumerate(support)}
-                images = map(and_, range(1 << len(support)),
-                             repeat(~sum(1 << place[i] for i in component)))
-                for i in component:
-                    if i not in tables:
-                        tables[i] = _truth_table(compiled[i], reads[i])
-                    column = _spread(tables[i], reads[i], support)
-                    images = map(or_, images, map(lshift, column, repeat(place[i])))
-                verdicts[component] = len(set(images)) == 1 << len(support)
-            if not verdicts[component]:
-                return False
-    return True
-
-
 def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
                  cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
     """Is one full step a bijection on configuration space?
@@ -431,6 +384,8 @@ def is_bijective(f: BooleanNetwork, mu: PartitionedOrder,
     bijective update.  The two answers must agree; a composition of
     block updates is bijective exactly when every factor is.
     """
+    from .blockmaps import _blocks_bijective
+
     seen = bytearray(1 << f.n)
     size = 0
     for cube in _image_cubes(f, mu, f"bijectivity check over 2**{f.n}", cap):
@@ -467,75 +422,6 @@ def is_constant(f: BooleanNetwork, mu: PartitionedOrder,
 
 
 # ---------------------------------------------------------------------------
-# Subdynamics recognition
-
-def _kuhn_match(left: Sequence, right: Sequence, feasible) -> bool:
-    """Can every left vertex be matched to a distinct feasible right vertex?"""
-    match_of: dict = {}
-
-    def assign(u, banned: set) -> bool:
-        for v in right:
-            if v in banned or not feasible(u, v):
-                continue
-            banned.add(v)
-            if v not in match_of or assign(match_of[v], banned):
-                match_of[v] = u
-                return True
-        return False
-
-    return all(assign(u, set()) for u in left)
-
-
-def subdynamics(f: BooleanNetwork, mu: PartitionedOrder,
-                graph: Mapping[object, object],
-                cap: Optional[int] = DEFAULT_BLOCK_CAP) -> bool:
-    """Does the functional graph ``graph`` embed into the step dynamics?
-
-    ``graph`` maps each vertex to its unique successor.  Each of its
-    components carries exactly one cycle; a component embeds by anchoring its
-    cycle onto a dynamics cycle of the same length (trying every rotation) and
-    then matching hanging trees injectively.
-    """
-    if not graph:
-        raise ValueError("subdynamics graph must be non-empty")
-    if len(graph) > DEFAULT_NODE_CAP:
-        raise ResourceCapError(f"subdynamics graph has {len(graph)} vertices,"
-                               f" above node_cap={DEFAULT_NODE_CAP}")
-    # Relabel the vertices 0..k-1, in the order given.
-    label = {node: k for k, node in enumerate(graph)}
-    g_successors = []
-    for node, succ in graph.items():
-        try:
-            g_successors.append(label[succ])
-        except (KeyError, TypeError):
-            raise ValueError(f"successor {succ!r} of {node!r} is not a vertex") from None
-    g_members, g_ends, _ = _decompose(g_successors)
-    g_cycles = _cycles(g_members, g_ends)
-    g_children = _tree_children(g_successors, frozenset(g_members))
-    dyn = transition_graph(f, mu, cap=cap)
-    dyn_cycles = dyn.cycles
-    dyn_children = _tree_children(dyn.successors, dyn.limit_set)
-
-    @cache
-    def tree_embeds(u: int, w: int) -> bool:
-        gus = g_children.get(u, ())
-        dws = dyn_children.get(w, ())
-        return len(gus) <= len(dws) and _kuhn_match(gus, list(dws), tree_embeds)
-
-    def component_embeds(g_cycle, dyn_cycle) -> bool:
-        return len(g_cycle) == len(dyn_cycle) and any(
-            all(map(tree_embeds, g_cycle, dyn_cycle[r:] + dyn_cycle[:r]))
-            for r in range(len(g_cycle))
-        )
-
-    return _kuhn_match(
-        range(len(g_cycles)),
-        range(len(dyn_cycles)),
-        lambda gi, di: component_embeds(g_cycles[gi], dyn_cycles[di]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Equivalence witnesses
 
 def distinguishing_network(mu: PartitionedOrder, mu2: PartitionedOrder
@@ -559,80 +445,3 @@ def distinguishing_network(mu: PartitionedOrder, mu2: PartitionedOrder
             locals_[i], locals_[j] = Or(Var(i), Var(j)), Var(i)
             return BooleanNetwork(locals_), 1 << j, i
     return None
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-#: Configurations named per ``format_configs`` call of an export.
-_NAME_CHUNK = 1024
-
-
-def _edges(graph: DynamicsGraph) -> Iterator[tuple[str, str]]:
-    """The names of each configuration and its successor, in order, formatted
-    a chunk at a time."""
-    n, successors = graph.n, graph.successors
-    for base in range(0, len(successors), _NAME_CHUNK):
-        targets = successors[base:base + _NAME_CHUNK]
-        sources = range(base, base + len(targets))
-        yield from zip(format_configs(sources, n).split("\n"),
-                       format_configs(targets, n).split("\n"))
-
-
-def dot_lines(graph: DynamicsGraph) -> Iterator[str]:
-    """The lines of :func:`to_dot`, without newlines, lazily."""
-    yield "digraph dynamics {"
-    yield from (f'  "{x}" -> "{s}";' for x, s in _edges(graph))
-    yield "}"
-
-
-def to_dot(graph: DynamicsGraph) -> str:
-    """DOT digraph: one node per configuration bitstring, one arc per successor."""
-    # The final newline is joined in, so the text is not copied once more.
-    return "\n".join([*dot_lines(graph), ""])
-
-
-def _with_commas(pieces: Iterable[str]) -> Iterator[str]:
-    """``pieces``, each but the last followed by a comma."""
-    pieces = iter(pieces)
-    previous = next(pieces)
-    for piece in pieces:
-        yield previous + ","
-        previous = piece
-    yield previous
-
-
-def json_lines(graph: DynamicsGraph) -> Iterator[str]:
-    """The lines of ``json.dumps(graph_json(graph), indent=2)``, without
-    newlines, lazily: the lines of one edge, or of at most 1,024 of a
-    cycle's members, come as one piece."""
-    n, ends = graph.n, graph._ends
-    lengths = list(map(sub, ends, chain([0], ends)))
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    yield f'{{\n  "n": {n},\n  "edges": ['
-    yield from _with_commas(f'    [\n      "{x}",\n      "{s}"\n    ]' for x, s in _edges(graph))
-    yield '  ],\n  "cycles": {\n    "lengths": ['
-    yield from _with_commas(f"      {lengths[k]}" for k in order)
-    yield '    ],\n    "members": ['
-    yield from _with_commas(
-        "      [\n" * (at == ends[k] - lengths[k])
-        + f'        "{format_configs(graph._members[at:min(at + _NAME_CHUNK, ends[k])], n)}"'
-        .replace("\n", '",\n        "')
-        + "\n      ]" * (at + _NAME_CHUNK >= ends[k])
-        for k in order for at in range(ends[k] - lengths[k], ends[k], _NAME_CHUNK)
-    )
-    yield "    ]\n  }\n}"
-
-
-def graph_json(graph: DynamicsGraph) -> dict:
-    """JSON-ready edge list with a cycles summary."""
-    names = [format_config(x, graph.n) for x in range(len(graph.successors))]
-    cycles = sorted(graph.cycles, key=len)
-    return {
-        "n": graph.n,
-        "edges": [[names[x], names[s]] for x, s in enumerate(graph.successors)],
-        "cycles": {
-            "lengths": list(map(len, cycles)),
-            "members": [[names[x] for x in cycle] for cycle in cycles],
-        },
-    }

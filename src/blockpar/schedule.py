@@ -33,11 +33,14 @@ step.  By the rule above the automaton is updated exactly at the substeps
 from __future__ import annotations
 
 import math
+import re
 from itertools import compress, cycle, filterfalse, islice
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import Record, ResourceCapError, ScheduleFormatError
-from .partitions import Partition
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 #: Hard ceiling on materialised substep counts; schedules built from prime
 #: o-block lengths can expand to astronomically long block sequences.
@@ -139,6 +142,8 @@ class PartitionedOrder:
 
     def support(self) -> Partition:
         """The integer partition given by the o-block lengths."""
+        from .partitions import Partition
+
         return Partition.from_parts(len(block) for block in self.oblocks)
 
     def first_update_times(self) -> tuple[int, ...]:
@@ -291,20 +296,48 @@ def is_bs_intersection(seq: BlockSequence) -> bool:
     return len(seen) == seq.n
 
 
+def _plain_oblocks(text: str) -> Optional[list[list[int]]]:
+    """The arrays of ``text`` when it is plain: integers in arrays in one
+    array, in JSON's syntax, with JSON whitespace between tokens; otherwise
+    None, and ``parse_schedule`` hands the text to ``json``.
+
+    The text is read with ``split`` and ``int``, then checked: with its
+    whitespace deleted it must be the canonical text of what was read, and
+    no whitespace may stand inside a number.  So every spelling that
+    ``json`` reads otherwise or refuses (``01``, ``+1``, ``1.0``, ``1e3``,
+    ``-0``, non-ASCII digits, ``true``, nested arrays) goes to ``json``.
+    """
+    compact = text
+    for space in " \t\n\r":
+        compact = compact.replace(space, "")
+    if len(compact) < len(text) and re.search(r"[-0-9][ \t\n\r]+[-0-9]", text):
+        return None
+    try:
+        oblocks = [list(map(int, block.split(","))) if block else []
+                   for block in compact[2:-2].split("],[")]
+    except ValueError:
+        return None
+    return oblocks if format_oblocks(oblocks) == compact else None
+
+
 def parse_schedule(text: str, n: Optional[int] = None) -> PartitionedOrder:
     """Parse the schedule text format: a JSON array of arrays of automaton indices.
 
     Inner arrays are o-blocks whose order is significant; outer order is not.
-    ``n`` defaults to one more than the largest index mentioned.
+    ``n`` defaults to one more than the largest index mentioned.  Plain
+    integer arrays are read without loading ``json`` (``_plain_oblocks``);
+    any other text goes to ``json.loads``, so every error is its own.
     """
-    import json
+    data = _plain_oblocks(text)
+    if data is None:
+        import json
 
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScheduleFormatError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ScheduleFormatError("invalid JSON: arrays nested too deeply") from None
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ScheduleFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ScheduleFormatError("invalid JSON: arrays nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise ScheduleFormatError("schedule must be a non-empty array of o-blocks")
     for b, block in enumerate(data):

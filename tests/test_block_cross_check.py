@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from blockpar import dynamics
+from blockpar import blockmaps, dynamics
 from blockpar.dynamics import is_bijective
 from blockpar.enumeration import enum_bp
 from blockpar.errors import CrossCheckError
@@ -47,7 +47,7 @@ def triangular_network(n: int, rng: random.Random, broken: int) -> BooleanNetwor
 
 
 def agrees(f, mu) -> bool:
-    answer = dynamics._blocks_bijective(f, set(mu.substeps()))
+    answer = blockmaps._blocks_bijective(f, set(mu.substeps()))
     assert answer == oracles.per_block_bijective(f, mu)
     return answer
 
@@ -76,14 +76,14 @@ def test_some_blocks_bijective_and_some_not():
     sequential = PartitionedOrder(3, [(0, 1, 2)])
     assert agrees(f, parallel)
     assert not agrees(f, sequential)
-    assert [dynamics._blocks_bijective(f, [block]) for block in sequential.substeps()] \
+    assert [blockmaps._blocks_bijective(f, [block]) for block in sequential.substeps()] \
         == [False, False, True]
     rng = random.Random(0x3B)
     mixed = 0
     for n in range(3, 8):
         for _ in range(8):
             f, mu = triangular_network(n, rng, 2), random_schedule(n, rng)
-            answers = {dynamics._blocks_bijective(f, [block]) for block in mu.substeps()}
+            answers = {blockmaps._blocks_bijective(f, [block]) for block in mu.substeps()}
             mixed += answers == {False, True}
             agrees(f, mu)
     assert mixed
@@ -99,7 +99,7 @@ def test_columns_read_only_the_scalar_lambdas(monkeypatch):
     monkeypatch.setattr(f, "_sliced", (unused,) * 5)
     monkeypatch.setattr(dynamics, "_images", unused)
     monkeypatch.setattr(dynamics, "_transpose", unused)
-    assert dynamics._blocks_bijective(f, set(mu.substeps()))
+    assert blockmaps._blocks_bijective(f, set(mu.substeps()))
 
 
 def test_a_wrong_column_fails_the_cross_check(monkeypatch):
@@ -118,8 +118,8 @@ def test_a_block_that_splits_into_two_components():
     # automaton 4 outside the block as context.  In the parallel block,
     # automaton 4 (the identity) joins {2, 3}.
     reads = [(1,), (0,), (3,), (2, 4), (4,)]
-    assert dynamics._components((0, 1, 2, 3), reads) == [{0, 1}, {2, 3}]
-    assert dynamics._components((0, 1, 2, 3, 4), reads) == [{0, 1}, {2, 3, 4}]
+    assert blockmaps._components((0, 1, 2, 3), reads) == [{0, 1}, {2, 3}]
+    assert blockmaps._components((0, 1, 2, 3, 4), reads) == [{0, 1}, {2, 3, 4}]
     mu = PartitionedOrder.parallel(5)
     swap = [Var(1), Var(0)]
     for pair, bijective in [([Var(3), Xor(Var(2), Var(4))], True),
@@ -127,21 +127,21 @@ def test_a_block_that_splits_into_two_components():
                             ([Var(3), And(Var(2), Var(4))], False),
                             ([Var(3), Var(3)], False)]:
         f = BooleanNetwork([*swap, *pair, Var(4)])
-        assert dynamics._blocks_bijective(f, [(0, 1, 2, 3)]) is bijective
+        assert blockmaps._blocks_bijective(f, [(0, 1, 2, 3)]) is bijective
         assert agrees(f, mu) is bijective
         assert is_bijective(f, mu) is bijective
 
 
 def test_a_component_joined_only_through_a_one_way_read():
     # x0 reads x1; x1 reads only itself.  One component, {0, 1}.
-    assert dynamics._components((0, 1), [(0, 1), (1,)]) == [{0, 1}]
+    assert blockmaps._components((0, 1), [(0, 1), (1,)]) == [{0, 1}]
     mu = PartitionedOrder.parallel(3)
     for pair, bijective in [([Xor(Var(0), Var(1)), Not(Var(1))], True),
                             ([Var(1), Not(Var(1))], False),
                             ([Xor(Var(0), Var(1), Var(2)), Var(1)], True),
                             ([And(Var(0), Var(1)), Var(1)], False)]:
         f = BooleanNetwork([*pair, Var(2)])
-        assert dynamics._blocks_bijective(f, [(0, 1)]) is bijective
+        assert blockmaps._blocks_bijective(f, [(0, 1)]) is bijective
         assert agrees(f, mu) is bijective
         assert is_bijective(f, mu) is bijective
 
@@ -168,7 +168,7 @@ def test_scalar_calls_at_the_graph_cap(monkeypatch):
         return call
 
     monkeypatch.setattr(f, "_compiled", tuple(map(counting, f.compiled())))
-    assert dynamics._blocks_bijective(f, set(mu.substeps()))
+    assert blockmaps._blocks_bijective(f, set(mu.substeps()))
     assert calls <= budget
 
 
@@ -196,7 +196,7 @@ def test_per_block_equals_the_oracle_and_the_whole_step_property():
             if data.draw(st.booleans(), label=f"swap {i} {j}"):
                 locals_[i], locals_[j] = Var(j), Var(i)
         f = BooleanNetwork(locals_)
-        answer = dynamics._blocks_bijective(f, set(mu.substeps()))
+        answer = blockmaps._blocks_bijective(f, set(mu.substeps()))
         assert answer == oracles.per_block_bijective(f, mu) == is_bijective(f, mu)
 
     check()

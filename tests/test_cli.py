@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from blockpar import cli, dynamics
+from blockpar import cli, dynamics, exports
 from blockpar.cli import (
     EXIT_BAD_INPUT, EXIT_MISSING_FILE, EXIT_OK, EXIT_RESOURCE_CAP, WRITE_CHUNK, main,
 )
@@ -419,7 +419,7 @@ class TestChunkedWrites:
         stdout = counting_stdout(monkeypatch)
         argv, graph = counter
         assert main(["dynamics", *argv, "--format", "json"]) == EXIT_OK
-        document = dynamics.graph_json(graph)
+        document = exports.graph_json(graph)
         assert stdout.getvalue() == json.dumps(document, indent=2) + "\n"
         pieces = len(list(json.JSONEncoder(indent=2).iterencode(document))) + 1
         assert pieces > 2 * WRITE_CHUNK
@@ -429,7 +429,7 @@ class TestChunkedWrites:
         stdout = counting_stdout(monkeypatch)
         argv, graph = counter
         assert main(["dynamics", *argv, "--format", "dot"]) == EXIT_OK
-        assert stdout.getvalue() == dynamics.to_dot(graph)
+        assert stdout.getvalue() == exports.to_dot(graph)
         assert stdout.writes <= chunks(2048 + 2) + 1
 
     def test_count_table(self, monkeypatch):

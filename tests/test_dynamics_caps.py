@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from blockpar import dynamics
+from blockpar import dynamics, embedding
 from blockpar.errors import ResourceCapError
 from blockpar.network import identity_network, random_network
 from blockpar.schedule import PartitionedOrder
@@ -63,7 +63,7 @@ def test_graph_cap_is_read_at_the_call(name, monkeypatch):
 
 
 def test_node_cap_is_read_at_the_call(monkeypatch):
-    monkeypatch.setattr(dynamics, "DEFAULT_NODE_CAP", 2)
+    monkeypatch.setattr(embedding, "DEFAULT_NODE_CAP", 2)
     f = identity_network(2)
     with pytest.raises(ResourceCapError) as error:
         dynamics.subdynamics(f, PartitionedOrder.parallel(2), {0: 1, 1: 2, 2: 2})
@@ -150,8 +150,8 @@ def test_first_fault_wins(case):
 
 
 def _public_functions():
-    for module in ("cli", "counting", "dynamics", "enumeration", "network",
-                   "partitions", "schedule"):
+    for module in ("blockmaps", "cli", "counting", "dynamics", "embedding", "enumeration",
+                   "exports", "network", "partitions", "schedule"):
         home = importlib.import_module(f"blockpar.{module}")
         for name, value in vars(home).items():
             if not name.startswith("_") and inspect.isfunction(value) \
@@ -161,7 +161,7 @@ def _public_functions():
 
 def test_no_function_takes_a_size_or_node_cap():
     names = dict(_public_functions())
-    assert "dynamics.transition_graph" in names and "dynamics.subdynamics" in names
+    assert "dynamics.transition_graph" in names and "embedding.subdynamics" in names
     for name, function in names.items():
         parameters = inspect.signature(function).parameters
         assert not {"n_cap", "node_cap"} & set(parameters), name
@@ -173,5 +173,5 @@ def test_substep_cap_default_is_the_schedule_cap():
 
     for name, function in _public_functions():
         parameter = inspect.signature(function).parameters.get("cap")
-        if parameter is not None and name.startswith("dynamics."):
+        if parameter is not None and name.startswith(("dynamics.", "embedding.")):
             assert parameter.default is DEFAULT_BLOCK_CAP, name

@@ -120,12 +120,54 @@ def test_other_commands_load_no_gadget_code(tmp_path, command):
     assert _loaded(argv, ("blockpar.gadget",)) == "0 [] []"
 
 
-@pytest.mark.parametrize("module", ["dynamics.py", "enumeration.py", "blocktext.py"])
+#: The layers of the whole-space analysis: ``check bijective`` adds the
+#: per-block algebra, ``dynamics`` the exporters, ``check subdynamics`` the
+#: embedding search.
+LAYERS = ("blockpar.blockmaps", "blockpar.exports", "blockpar.embedding")
+
+
+@pytest.fixture
+def swap(tmp_path) -> list[str]:
+    network = tmp_path / "swap.bn"
+    network.write_text("x0 = x1\nx1 = !x0\n")
+    return ["--network", str(network)]
+
+
+@pytest.mark.parametrize("prop", ["fixed-point", "identity", "constant", "preimage",
+                                  "limit-cycle:2"])
+def test_plain_checks_load_no_other_layer_and_no_json(tmp_path, swap, prop):
+    schedule = tmp_path / "swap.schedule"
+    schedule.write_text(" [[0], [1]]\n")
+    argv = ["check", prop, *swap, "--schedule", str(schedule)]
+    argv += ["--target", "11"] * (prop == "preimage")
+    watch = LAYERS + ("blockpar.dynamics", "json")
+    assert _loaded(argv, watch) == "0 [] ['blockpar.dynamics']"
+
+
+def test_check_bijective_loads_the_block_algebra_and_no_exporter(swap):
+    argv = ["check", "bijective", *swap, "--schedule", "[[0,1]]"]
+    assert _loaded(argv, LAYERS + ("json",)) == "0 [] ['blockpar.blockmaps']"
+
+
+@pytest.mark.parametrize("form", ["dot", "json"])
+def test_dynamics_loads_the_exporters_and_no_block_algebra(swap, form):
+    argv = ["dynamics", *swap, "--schedule", "[[0,1]]", "--format", form]
+    assert _loaded(argv, LAYERS + ("json",)) == "0 [] ['blockpar.exports']"
+
+
+def test_a_schedule_the_plain_reader_refuses_loads_json(swap):
+    argv = ["check", "identity", *swap, "--schedule", "[[0], [01]]"]
+    assert _loaded(argv, ("json",)) == "4 [] ['json']"
+
+
+@pytest.mark.parametrize("module", ["dynamics.py", "blockmaps.py", "exports.py", "embedding.py",
+                                    "enumeration.py", "blocktext.py"])
 def test_dynamics_stays_under_the_parsers_token_step(module):
-    # Every check and export compiles dynamics.py, and every enum command
-    # the other two. Past 4,096 tokens the parser doubles its token array
-    # and allocates a token for each new slot, about 0.25 MB more peak
-    # memory for each of those commands.
+    # Every check and export compiles dynamics.py, and one more layer each
+    # of the next three; every enum command compiles the last two. Past
+    # 4,096 tokens the parser doubles its token array and allocates a token
+    # for each new slot, about 0.25 MB more peak memory for each of those
+    # commands.
     import tokenize
 
     path = Path(blockpar.__file__).parent / module
@@ -140,6 +182,17 @@ def test_dynamics_reexports_the_kernel():
 
     assert dynamics.step is kernel.step
     assert dynamics.step_trace is kernel.step_trace
+
+
+def test_moved_names_stay_readable_on_dynamics():
+    from blockpar import dynamics
+
+    for name, module in dynamics._HOME_OF.items():
+        home = importlib.import_module(f"blockpar.{module}")
+        assert getattr(dynamics, name) is getattr(home, name), name
+    assert getattr(dynamics, "phi", None) is None
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        dynamics.nope  # noqa: B018
 
 
 def test_counting_loads_fractions_only_for_the_egf_route():

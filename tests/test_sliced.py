@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from blockpar import dynamics
+from blockpar import dynamics, exports
 from blockpar.cli import EXIT_RESOURCE_CAP, main
 from blockpar.dynamics import is_bijective, reachable, transition_graph
 from blockpar.errors import CrossCheckError, ResourceCapError
@@ -147,7 +147,7 @@ def test_dot_export_names_configurations_a_chunk_at_a_time():
     tracemalloc.start()
     try:
         lines = 0
-        for _ in dynamics.dot_lines(graph):
+        for _ in exports.dot_lines(graph):
             lines += 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -162,12 +162,12 @@ def test_json_export_names_cycle_members_a_chunk_at_a_time():
     tracemalloc.start()
     try:
         text = hashlib.sha256()
-        for line in dynamics.json_lines(graph):
+        for line in exports.json_lines(graph):
             text.update(line.encode() + b"\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expected = json.dumps(dynamics.graph_json(graph), indent=2) + "\n"
+    expected = json.dumps(exports.graph_json(graph), indent=2) + "\n"
     assert text.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
     assert peak < 2**20
 
